@@ -3,6 +3,8 @@
 set -euo pipefail
 
 WORKSPACE="${1:-demo}"
+# run from a source checkout as well as from an install
+export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
 
 if [ ! -f "$WORKSPACE/stats.json" ]; then
     echo "no configs in $WORKSPACE/ - run: python scripts/make_demo_data.py --out $WORKSPACE" >&2
@@ -13,7 +15,7 @@ fi
 for cmd in parse stats agreement index retrieve eval-ner eval-coding eval-dp \
            export-candidates import-selection; do
     echo "== icdkit $cmd"
-    icdkit "$cmd" --config "$WORKSPACE/$cmd.json"
+    python3 -m icdkit.cli "$cmd" --config "$WORKSPACE/$cmd.json"
     report="$WORKSPACE/out/$cmd/$(echo "$cmd" | tr '-' '_').json"
     python3 - "$report" <<'EOF'
 import json, sys

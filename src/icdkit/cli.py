@@ -15,7 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -39,11 +39,13 @@ from icdkit.diagnosis import (
     restrict,
     weighted_f1,
 )
-from icdkit.errors import ConfigError, DataError, IcdkitError, InvalidFormatError
-from icdkit.metrics import sum_counts
-from icdkit.ner import match_spans, micro_report, read_span_predictions
+from icdkit.errors import ConfigError, DataError, IcdkitError
+from icdkit.jsonl import dump_jsonl, read_jsonl
+from icdkit.metrics import micro_report, sum_counts
+from icdkit.ner import match_spans, read_span_predictions
 from icdkit.retrieval import (
     DEFAULT_CANDIDATES,
+    EmbeddingIndex,
     acc_at_k,
     baseline_selection,
     build_index,
@@ -62,13 +64,15 @@ _PATH_KEYS = frozenset({
 
 @dataclass(frozen=True)
 class Options:
-    mode: str = "strict"
     k: int = DEFAULT_CANDIDATES
     quorum: int = 2
     fraction: float = 0.10
     min_count: int = 15
     per_record_mean: bool = False
-    seed: int = 0
+
+
+# exact JSON value types per annotation, so true is not an int option
+_OPTION_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -93,21 +97,24 @@ class RunConfig:
         if unknown_top:
             raise ConfigError(f"unknown config sections: {sorted(unknown_top)}")
         paths_raw = raw.get("paths", {})
+        options_raw = raw.get("options", {})
+        if not isinstance(paths_raw, dict) or not isinstance(options_raw, dict):
+            raise ConfigError("config sections 'paths' and 'options' must be JSON objects")
+        if not all(isinstance(value, str) for value in paths_raw.values()):
+            raise ConfigError("config paths must be strings")
         unknown_paths = set(paths_raw) - _PATH_KEYS
         if unknown_paths:
             raise ConfigError(f"unknown path keys: {sorted(unknown_paths)}")
         base = config_path.parent
         paths = {key: (base / value).resolve() for key, value in paths_raw.items()}
-        options_raw = raw.get("options", {})
         unknown_options = set(options_raw) - set(Options.__dataclass_fields__)
         if unknown_options:
             raise ConfigError(f"unknown option keys: {sorted(unknown_options)}")
-        try:
-            options = Options(**options_raw)
-        except TypeError as exc:
-            raise ConfigError(f"bad options: {exc}") from exc
-        if options.mode not in ("strict", "relaxed"):
-            raise ConfigError(f"mode must be 'strict' or 'relaxed', got {options.mode!r}")
+        options = Options(**options_raw)
+        for field in fields(Options):
+            value = getattr(options, field.name)
+            if type(value) not in _OPTION_TYPES[field.type]:
+                raise ConfigError(f"option {field.name!r} must be {field.type}, got {value!r}")
         if options.k < 1:
             raise ConfigError(f"k must be >= 1, got {options.k}")
         if options.quorum < 2:
@@ -138,43 +145,32 @@ class RunConfig:
             raise ConfigError(f"path {key!r} does not exist: {value}")
         return value
 
-    def output_dir(self) -> Path:
-        value = self.paths.get("output_dir")
-        if value is None:
-            raise ConfigError("config is missing required path 'output_dir'")
-        return value
 
-
-def _load_dictionary(config: RunConfig) -> IcdDictionary:
+def _load_index(config: RunConfig) -> tuple[IcdDictionary, EmbeddingIndex]:
     dictionary = load_dictionary_tsv(config.path("dictionary"))
     synonyms_path = config.path("synonyms", required=False)
     if synonyms_path is not None:
         dictionary = merge_synonyms(dictionary, read_dictionary_tsv(synonyms_path))
-    return dictionary
+    return dictionary, build_index(dictionary, load_embeddings_jsonl(config.path("embeddings")))
 
 
-def _load_queries(config: RunConfig) -> list[dict]:
-    path = config.path("queries")
-    queries: list[dict] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                queries.append({
-                    "mention_id": str(row["mention_id"]),
-                    "mention": row.get("mention", ""),
-                    "vector": [float(x) for x in row["vector"]],
-                    "gold": row.get("gold"),
-                })
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
-    return queries
+def _query_row(row: dict) -> dict:
+    return {
+        "mention_id": str(row["mention_id"]),
+        "mention": row.get("mention", ""),
+        "vector": [float(x) for x in row["vector"]],
+        "gold": row.get("gold"),
+    }
 
 
-def _jsonl(rows: list[dict]) -> str:
-    return "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows)
+def _candidate_row(row: dict) -> dict:
+    # only the keys baseline_selection and import_selection index
+    return {"mention_id": row["mention_id"],
+            "candidates": [{"code": cand["code"]} for cand in row["candidates"]]}
+
+
+def _selection_row(row: dict) -> dict:
+    return {"mention_id": row["mention_id"], "selected_rank": int(row["selected_rank"])}
 
 
 def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -195,7 +191,7 @@ def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
         "n_entities": sum(len(doc.entities) for doc in docs),
         "files": {"entities": "parsed.jsonl", "codes": "doc_codes.jsonl"},
     }
-    return results, {"parsed.jsonl": _jsonl(parsed_rows), "doc_codes.jsonl": _jsonl(code_rows)}
+    return results, {"parsed.jsonl": dump_jsonl(parsed_rows), "doc_codes.jsonl": dump_jsonl(code_rows)}
 
 
 def cmd_stats(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -204,17 +200,8 @@ def cmd_stats(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
-    path = config.path("annotator_sets")
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                records.append([frozenset(codes) for codes in row["annotators"]])
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
+    records = list(read_jsonl(config.path("annotator_sets"),
+                              lambda row: [frozenset(codes) for codes in row["annotators"]]))
     ratio = iaa_ratio(records, quorum=config.options.quorum,
                       per_record_mean=config.options.per_record_mean)
     jaccard = pairwise_jaccard(records)
@@ -229,8 +216,7 @@ def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def cmd_index(config: RunConfig) -> tuple[dict, dict[str, str]]:
-    dictionary = _load_dictionary(config)
-    index = build_index(dictionary, load_embeddings_jsonl(config.path("embeddings")))
+    dictionary, index = _load_index(config)
     results = {
         "n_entries": len(index),
         "dim": index.dim,
@@ -241,9 +227,8 @@ def cmd_index(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[dict], list]:
-    dictionary = _load_dictionary(config)
-    index = build_index(dictionary, load_embeddings_jsonl(config.path("embeddings")))
-    queries = _load_queries(config)
+    dictionary, index = _load_index(config)
+    queries = list(read_jsonl(config.path("queries"), _query_row))
     ranked = [
         retrieve(index, query["vector"], config.options.k, query_id=query["mention_id"])
         for query in queries
@@ -273,7 +258,7 @@ def cmd_retrieve(config: RunConfig) -> tuple[dict, dict[str, str]]:
             mode: {str(k): acc_at_k(labelled, k, mode=mode) for k in ks if k <= config.options.k}
             for mode in ("strict", "relaxed")
         }
-    return results, {"retrieved.jsonl": _jsonl(rows)}
+    return results, {"retrieved.jsonl": dump_jsonl(rows)}
 
 
 def cmd_eval_ner(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -368,35 +353,17 @@ def cmd_export_candidates(config: RunConfig) -> tuple[dict, dict[str, str]]:
     ]
     results = {"n_mentions": len(rows), "k": config.options.k,
                "files": {"candidates": "candidates.jsonl"}}
-    return results, {"candidates.jsonl": _jsonl(rows)}
+    return results, {"candidates.jsonl": dump_jsonl(rows)}
 
 
 def cmd_import_selection(config: RunConfig) -> tuple[dict, dict[str, str]]:
-    candidates_path = config.path("candidates")
-    candidate_records = []
-    with open(candidates_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                candidate_records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise InvalidFormatError(f"{candidates_path}:{lineno}: {exc}") from exc
+    candidate_records = list(read_jsonl(config.path("candidates"), _candidate_row))
     selection_path = config.path("selection", required=False)
-    if selection_path is None:
+    baseline = selection_path is None
+    if baseline:
         selections = baseline_selection(candidate_records)
-        baseline = True
     else:
-        selections = []
-        with open(selection_path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    selections.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise InvalidFormatError(f"{selection_path}:{lineno}: {exc}") from exc
-        baseline = False
+        selections = list(read_jsonl(selection_path, _selection_row))
     resolved = import_selection(candidate_records, selections)
     rows = [{"mention_id": mention_id, "code": str(code)}
             for mention_id, code in resolved.items()]
@@ -406,7 +373,7 @@ def cmd_import_selection(config: RunConfig) -> tuple[dict, dict[str, str]]:
         "selected": {mention_id: str(code) for mention_id, code in resolved.items()},
         "files": {"resolved": "resolved.jsonl"},
     }
-    return results, {"resolved.jsonl": _jsonl(rows)}
+    return results, {"resolved.jsonl": dump_jsonl(rows)}
 
 
 _COMMANDS: dict[str, Callable[[RunConfig], tuple[dict, dict[str, str]]]] = {
@@ -445,7 +412,7 @@ def run(command: str, config: RunConfig) -> dict:
         "command": command,
         "results": results,
     }
-    out_dir = config.output_dir()
+    out_dir = config.path("output_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, content in artifacts.items():
         (out_dir / filename).write_text(content, encoding="utf-8")

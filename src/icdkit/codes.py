@@ -125,16 +125,11 @@ class IcdDictionary:
         return {(str(e.code), e.name) for e in self.entries}
 
 
-def load_dictionary(rows: Iterable[tuple[str, str]]) -> IcdDictionary:
-    """Build a dictionary from (code text, name text) rows.
-
-    Names are normalized, exact (code, name) duplicates are dropped, and
-    insertion order is preserved. The count of dropped duplicates is
-    reported on the returned dictionary. A row whose code does not parse
-    raises :class:`InvalidFormatError` naming the 1-based row number.
-    """
-    entries: list[DictEntry] = []
-    seen: set[tuple[IcdCode, str]] = set()
+def _extend(entries: list[DictEntry], rows: Iterable[tuple[str, str]]) -> IcdDictionary:
+    """Append the rows' new (code, name) pairs to ``entries`` and count only
+    the rows' duplicates, so a merge never re-counts the base's drops. The
+    public builders call this and never each other."""
+    seen = {(e.code, e.name) for e in entries}
     dropped = 0
     for rownum, (code_text, name_text) in enumerate(rows, start=1):
         try:
@@ -151,6 +146,17 @@ def load_dictionary(rows: Iterable[tuple[str, str]]) -> IcdDictionary:
     return IcdDictionary(entries, dropped_duplicates=dropped)
 
 
+def load_dictionary(rows: Iterable[tuple[str, str]]) -> IcdDictionary:
+    """Build a dictionary from (code text, name text) rows.
+
+    Names are normalized, exact (code, name) duplicates are dropped, and
+    insertion order is preserved. The count of dropped duplicates is
+    reported on the returned dictionary. A row whose code does not parse
+    raises :class:`InvalidFormatError` naming the 1-based row number.
+    """
+    return _extend([], rows)
+
+
 def merge_synonyms(base: IcdDictionary, extra: Iterable[tuple[str, str]]) -> IcdDictionary:
     """Union a dictionary with extra synonym rows.
 
@@ -158,22 +164,7 @@ def merge_synonyms(base: IcdDictionary, extra: Iterable[tuple[str, str]]) -> Icd
     appended in the order given. Rows already present in the base (or
     repeated within ``extra``) are dropped and counted.
     """
-    entries = list(base.entries)
-    seen = {(e.code, e.name) for e in entries}
-    dropped = 0
-    for rownum, (code_text, name_text) in enumerate(extra, start=1):
-        try:
-            code = parse_code(code_text)
-        except InvalidFormatError as exc:
-            raise InvalidFormatError(f"row {rownum}: {exc}") from exc
-        name = normalize_name(name_text)
-        key = (code, name)
-        if key in seen:
-            dropped += 1
-            continue
-        seen.add(key)
-        entries.append(DictEntry(len(entries), code, name))
-    return IcdDictionary(entries, dropped_duplicates=dropped)
+    return _extend(list(base.entries), extra)
 
 
 def read_dictionary_tsv(path: str | Path) -> list[tuple[str, str]]:

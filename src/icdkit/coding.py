@@ -10,13 +10,12 @@ group never count twice.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code, truncate_to_group
-from icdkit.errors import InvalidFormatError
+from icdkit.jsonl import dump_jsonl, read_jsonl
 from icdkit.metrics import ConfusionCounts, MetricsReport, micro_report, sum_counts
 
 
@@ -86,22 +85,17 @@ def read_code_predictions(path: str | Path) -> dict[str, list[IcdCode]]:
     ``{"doc_id": ..., "codes": [...]}``. Duplicate rows for one record
     are concatenated (aggregation dedupes anyway)."""
     out: dict[str, list[IcdCode]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                doc_id = row["doc_id"]
-                codes = [parse_code(text) for text in row["codes"]]
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
-            out.setdefault(doc_id, []).extend(codes)
+
+    def add_row(row: dict) -> None:
+        codes = [parse_code(text) for text in row["codes"]]
+        out.setdefault(row["doc_id"], []).extend(codes)
+
+    for _ in read_jsonl(path, add_row):
+        pass
     return out
 
 
 def write_code_predictions(path: str | Path, records: Mapping[str, Sequence[IcdCode]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc_id in records:
-            row = {"doc_id": doc_id, "codes": [str(code) for code in records[doc_id]]}
-            handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+    rows = ({"doc_id": doc_id, "codes": [str(code) for code in records[doc_id]]}
+            for doc_id in records)
+    Path(path).write_text(dump_jsonl(rows), encoding="utf-8")

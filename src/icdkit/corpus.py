@@ -113,7 +113,9 @@ def parse_brat(text: str, ann: str, doc_id: str = "") -> AnnotatedDocument:
 
 def parse_brat_file(txt_path: str | Path, ann_path: str | Path) -> AnnotatedDocument:
     txt_path = Path(txt_path)
-    text = txt_path.read_text(encoding="utf-8")
+    # no newline translation: BRAT offsets count every \r of a CRLF text
+    with open(txt_path, encoding="utf-8", newline="") as handle:
+        text = handle.read()
     ann = Path(ann_path).read_text(encoding="utf-8")
     return parse_brat(text, ann, doc_id=txt_path.stem)
 

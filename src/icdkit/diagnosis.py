@@ -10,7 +10,6 @@ micro confusion counts.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code
 from icdkit.errors import InvalidFormatError
+from icdkit.jsonl import read_jsonl
 from icdkit.metrics import ConfusionCounts
 
 
@@ -198,24 +198,18 @@ def frequency_split(
 
 def read_records_jsonl(path: str | Path) -> list[MultiLabelRecord]:
     """Load ``{"record_id": ..., "gold": [...], "predicted": [...]}`` rows."""
-    records: list[MultiLabelRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                record_id = row["record_id"]
-                gold = frozenset(parse_code(text) for text in row["gold"])
-                predicted = frozenset(parse_code(text) for text in row["predicted"])
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
-            if record_id in seen:
-                raise InvalidFormatError(f"{path}:{lineno}: duplicate record_id {record_id!r}")
-            seen.add(record_id)
-            records.append(MultiLabelRecord(record_id, predicted, gold))
-    return records
+
+    def record(row: dict) -> MultiLabelRecord:
+        record_id = row["record_id"]
+        gold = frozenset(parse_code(text) for text in row["gold"])
+        predicted = frozenset(parse_code(text) for text in row["predicted"])
+        if record_id in seen:
+            raise InvalidFormatError(f"duplicate record_id {record_id!r}")
+        seen.add(record_id)
+        return MultiLabelRecord(record_id, predicted, gold)
+
+    return list(read_jsonl(path, record))
 
 
 def read_training_counts_tsv(path: str | Path) -> dict[IcdCode, int]:

@@ -8,18 +8,14 @@ substring search instead.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from icdkit.codes import normalize_name
 from icdkit.corpus import Span
-from icdkit.errors import InvalidFormatError
-from icdkit.metrics import ConfusionCounts, MetricsReport, micro_report
-
-__all__ = ["match_spans", "micro_report", "fuzzy_verify", "min_substring_distance",
-           "read_span_predictions", "ConfusionCounts", "MetricsReport"]
+from icdkit.jsonl import read_jsonl
+from icdkit.metrics import ConfusionCounts
 
 
 def _boundaries(spans: Iterable[Span | tuple[int, int]]) -> list[tuple[int, int]]:
@@ -96,18 +92,11 @@ def read_span_predictions(path: str | Path) -> dict[str, list[Span]]:
     ``{"doc_id": ..., "spans": [{"start": ..., "end": ..., "text": ...}]}``.
     """
     predictions: dict[str, list[Span]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                doc_id = row["doc_id"]
-                spans = [
-                    Span(int(s["start"]), int(s["end"]), s.get("text", ""))
-                    for s in row["spans"]
-                ]
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
-            predictions.setdefault(doc_id, []).extend(spans)
+
+    def add_row(row: dict) -> None:
+        spans = [Span(int(s["start"]), int(s["end"]), s.get("text", "")) for s in row["spans"]]
+        predictions.setdefault(row["doc_id"], []).extend(spans)
+
+    for _ in read_jsonl(path, add_row):
+        pass
     return predictions

@@ -9,7 +9,6 @@ entry id so every ranking is reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -25,6 +24,7 @@ from icdkit.errors import (
     NonFiniteValueError,
     SelectionOutOfRangeError,
 )
+from icdkit.jsonl import read_jsonl
 
 DEFAULT_CANDIDATES = 15
 
@@ -85,7 +85,7 @@ def build_index(
     :class:`NonFiniteValueError`.
     """
     pairs = vectors.items() if isinstance(vectors, Mapping) else vectors
-    by_id: dict[int, list[float]] = {}
+    by_id: dict[int, Sequence[float]] = {}
     dim: int | None = None
     for entry_id, vector in pairs:
         entry_id = int(entry_id)
@@ -93,24 +93,22 @@ def build_index(
             raise InvalidFormatError(f"vector id {entry_id} has no dictionary entry")
         if entry_id in by_id:
             raise InvalidFormatError(f"duplicate vector for entry {entry_id}")
-        values = [float(x) for x in vector]
         if dim is None:
-            dim = len(values)
+            dim = len(vector)
             if dim == 0:
                 raise DimensionMismatchError("vectors must have at least one component")
-        elif len(values) != dim:
+        elif len(vector) != dim:
             raise DimensionMismatchError(
-                f"entry {entry_id}: expected dim {dim}, got {len(values)}"
+                f"entry {entry_id}: expected dim {dim}, got {len(vector)}"
             )
-        by_id[entry_id] = values
+        by_id[entry_id] = vector
     for entry in dictionary:
         if entry.entry_id not in by_id:
             raise MissingVectorError(f"no vector for entry {entry.entry_id} ({entry.code})")
     if not len(dictionary):
         return EmbeddingIndex((), np.zeros((0, 1)))
+    # EmbeddingIndex rejects non-finite components
     matrix = np.array([by_id[i] for i in range(len(dictionary))], dtype=np.float64)
-    if not np.isfinite(matrix).all():
-        raise NonFiniteValueError("embedding file contains non-finite values")
     return EmbeddingIndex([e.code for e in dictionary], matrix)
 
 
@@ -187,17 +185,7 @@ def acc_at_k(
 
 def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, list[float]]]:
     """Read ``{"id": int, "vector": [floats]}`` rows from a JSONL file."""
-    rows: list[tuple[int, list[float]]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                rows.append((int(row["id"]), [float(x) for x in row["vector"]]))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+    return list(read_jsonl(path, lambda row: (int(row["id"]), [float(x) for x in row["vector"]])))
 
 
 def write_embeddings_jsonl(path: str | Path, rows: Iterable[tuple[int, Sequence[float]]]) -> None:

@@ -311,6 +311,37 @@ class TestAgreement:
         assert results["pairwise_jaccard"]["1-2"] == pytest.approx(0.5)
 
 
+class TestMalformedRows:
+    @pytest.mark.parametrize("command, bad_key, row", [
+        ("import-selection", "selection", {"selected_rank": 1}),
+        ("import-selection", "selection", {"mention_id": "m1"}),
+        ("import-selection", "candidates", {"mention_id": "m1"}),
+        ("import-selection", "selection", ["m1", 1]),
+        ("eval-coding", "predictions", {"doc_id": ["d1"], "codes": ["J00"]}),
+    ], ids=["selection-no-mention-id", "selection-no-rank", "candidates-no-candidates",
+            "selection-is-list", "predictions-list-doc-id"])
+    def test_exits_3_naming_file_line(self, tmp_path, capsys, command, bad_key, row):
+        good = {
+            "import-selection": {
+                "candidates": {"mention_id": "m1", "candidates": [{"rank": 1, "code": "J00"}]},
+                "selection": {"mention_id": "m1", "selected_rank": 1},
+            },
+            "eval-coding": {
+                "gold": {"doc_id": "d1", "codes": ["J00"]},
+                "predictions": {"doc_id": "d1", "codes": ["J00"]},
+            },
+        }[command]
+        paths = {"output_dir": tmp_path / "out"}
+        for key, good_row in good.items():
+            paths[key] = tmp_path / f"{key}.jsonl"
+            paths[key].write_text(json.dumps(row if key == bad_key else good_row) + "\n",
+                                  encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", paths)
+        assert run_cli(command, cfg) == 3
+        assert f"{paths[bad_key].resolve()}:1:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("stats", tmp_path / "nope.json") == 2
@@ -324,6 +355,15 @@ class TestConfigHandling:
         }), encoding="utf-8")
         assert run_cli("stats", cfg) == 2
         assert "verbosity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        {"options": 5}, {"paths": ["corpus_dir"]}, {"paths": {"corpus_dir": 5}},
+    ])
+    def test_malformed_sections(self, tmp_path, body, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body), encoding="utf-8")
+        assert run_cli("stats", cfg) == 2
+        assert "must be" in capsys.readouterr().err
 
     def test_missing_required_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {"output_dir": tmp_path / "o"})
@@ -340,6 +380,13 @@ class TestConfigHandling:
             "corpus_dir": corpus_dir, "output_dir": tmp_path / "o",
         }, options={"fraction": 0.9})
         assert run_cli("stats", cfg) == 2
+        # wrongly typed values are config errors too, not tracebacks or silent casts
+        for name, value in (("k", "15"), ("quorum", 2.5), ("per_record_mean", "yes")):
+            cfg = write_config(tmp_path / f"cfg_{name}.json", {
+                "corpus_dir": corpus_dir, "output_dir": tmp_path / "o",
+            }, options={name: value})
+            assert run_cli("stats", cfg) == 2
+            assert name in capsys.readouterr().err
 
     def test_nonexistent_input_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {

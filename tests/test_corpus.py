@@ -102,6 +102,15 @@ class TestParseBrat:
             for span, _ in doc.entities:
                 assert doc.text[span.start:span.end] == span.surface
 
+    def test_crlf_text_keeps_offsets(self, tmp_path):
+        (tmp_path / "d1.txt").write_bytes("a\r\nанемия".encode("utf-8"))
+        (tmp_path / "d1.ann").write_text(
+            "T1\tDisease 3 9\tанемия\nN1\tReference T1 ICD10:D50.9\tx\n", encoding="utf-8")
+        (doc,) = read_corpus_dir(tmp_path)
+        ((span, code),) = doc.entities
+        assert (span.start, span.end, str(code)) == (3, 9, "D50.9")
+        assert doc.text[span.start:span.end] == span.surface == "анемия"
+
 
 entity_text = st.text(alphabet="абвгде xyz", min_size=1, max_size=30)
 

@@ -1,0 +1,81 @@
+"""Behaviour lock: every demo-workspace report and artifact is pinned by hash.
+
+The demo workspace from ``scripts/make_demo_data.py`` is generated into a
+temporary directory and all ten subcommands run over it in-process. Each
+report is hashed with its ``config_hash`` removed, because that hash covers
+absolute paths and the option set, not results; every artifact is hashed
+as written. A refactor that changes any reported number, ordering or
+formatting changes one of these digests.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from icdkit.cli import main
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_data.py"
+
+# in run order: import-selection reads the export-candidates output
+COMMANDS = ("parse", "stats", "agreement", "index", "retrieve", "eval-ner", "eval-coding",
+            "eval-dp", "export-candidates", "import-selection")
+
+GOLDEN = {
+    "agreement/agreement.json":
+        "f03e9e15783c361358579d9ae5b86c2cde56a6a6afcdf8f2d2561ae1f04ac4ac",
+    "eval-coding/eval_coding.json":
+        "dc725b7c6409de39e5708ecff8c67ff1b47acc2638376ef45f5a5c7b9ad7610f",
+    "eval-dp/eval_dp.json":
+        "a9d16c31ef3b977b2af67a70f6facd6a8596f6b44e531c726916458c2d3318e6",
+    "eval-ner/eval_ner.json":
+        "2de09cf1c60450e41d1c321391010c8e5f6815ec29ed715c1b12e0e55382defb",
+    "export-candidates/candidates.jsonl":
+        "92e5c67eb78d62988d019949369cad11010f5e1eb988fb07d69d93325b34abbd",
+    "export-candidates/export_candidates.json":
+        "59aa42204b98fe2be9e77d6b5b253d16a5dd4291fdb904d984a02bef35421118",
+    "import-selection/import_selection.json":
+        "9333b31b9182aec682964956d77e0a02f95fd990a30ccb4b34b316fc8fe79d07",
+    "import-selection/resolved.jsonl":
+        "85fe85b06c2d4b69a8ad99648128a5d9a780661338e089c39208668a157e9380",
+    "index/index.json":
+        "fb7a4b61aa86bde0da053c6ba82efb8a8ae520394c1429846aabaf436451b9ac",
+    "parse/doc_codes.jsonl":
+        "cde2250574a83d21d8e69a2abc50af2105a748322ee5b800ec6442a78cff4d36",
+    "parse/parse.json":
+        "68acbf53d7de34404338c5b86d983895d50b5794334a66d29159c02c2a9dfb02",
+    "parse/parsed.jsonl":
+        "d807a3fa94ade809c6099f71750083618a63882d54c0af014c3efd25ef3d1827",
+    "retrieve/retrieve.json":
+        "1f27608e97889260f3fc35d23bf9cde9c4078297af693f4fbb86914812e849ac",
+    "retrieve/retrieved.jsonl":
+        "dba08dc0204b4cc54724f5e7cf6072786aee58a6a31d17722e5e6d0689d0cbf8",
+    "stats/stats.json":
+        "1595543d40ad7e4bf3cc478ced33702f1304437142cb8e9d5d93d474e06dc3dc",
+}
+
+
+def _digest(path: Path, command: str) -> str:
+    if path.name == command.replace("-", "_") + ".json":
+        report = json.loads(path.read_text(encoding="utf-8"))
+        del report["config_hash"]
+        text = json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_demo_reports_and_artifacts_are_byte_stable(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("make_demo_data", SCRIPT)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(sys, "argv", ["make_demo_data.py", "--out", str(tmp_path)])
+    demo.main()
+
+    digests = {}
+    for command in COMMANDS:
+        assert main([command, "--config", str(tmp_path / f"{command}.json")]) == 0, command
+        out_dir = tmp_path / "out" / command
+        for path in sorted(out_dir.iterdir()):
+            digests[f"{command}/{path.name}"] = _digest(path, command)
+    assert digests == GOLDEN

@@ -14,8 +14,8 @@ from icdkit.coding import aggregate_document, aggregate_relaxed, corpus_micro
 from icdkit.codes import load_dictionary, parse_code
 from icdkit.corpus import parse_brat
 from icdkit.errors import MissingVectorError
-from icdkit.metrics import sum_counts
-from icdkit.ner import fuzzy_verify, match_spans, micro_report
+from icdkit.metrics import micro_report, sum_counts
+from icdkit.ner import fuzzy_verify, match_spans
 from icdkit.retrieval import (
     acc_at_k,
     build_index,
