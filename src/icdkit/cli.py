@@ -31,6 +31,7 @@ from icdkit.codes import (
 from icdkit.corpus import corpus_stats, iaa_ratio, pairwise_jaccard, read_corpus_dir
 from icdkit.diagnosis import (
     build_label_space,
+    code_counts,
     frequency_split,
     micro_confusion,
     per_class_f1,
@@ -163,14 +164,21 @@ def _query_row(row: dict) -> dict:
     }
 
 
+def _mention_id(row: dict) -> str:
+    # import_selection keys a dict by it, so a list or object id must fail here
+    if not isinstance(row["mention_id"], str):
+        raise TypeError(f"mention_id must be a string, got {row['mention_id']!r}")
+    return row["mention_id"]
+
+
 def _candidate_row(row: dict) -> dict:
     # only the keys baseline_selection and import_selection index
-    return {"mention_id": row["mention_id"],
+    return {"mention_id": _mention_id(row),
             "candidates": [{"code": cand["code"]} for cand in row["candidates"]]}
 
 
 def _selection_row(row: dict) -> dict:
-    return {"mention_id": row["mention_id"], "selected_rank": int(row["selected_rank"])}
+    return {"mention_id": _mention_id(row), "selected_rank": int(row["selected_rank"])}
 
 
 def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -306,16 +314,10 @@ def cmd_eval_dp(config: RunConfig) -> tuple[dict, dict[str, str]]:
     restriction = restrict(records, space)
     per_class = per_class_f1(restriction.records, space)
     confusion = micro_confusion(restriction.records, space)
-    test_counts = {
-        code: sum(code in record.gold for record in restriction.records)
-        for code in space.codes
-    }
+    test_counts = {code: counts.tp + counts.fn
+                   for code, counts in code_counts(restriction.records, space.codes).items()}
     top, bottom = frequency_split(test_counts, fraction=config.options.fraction,
                                   min_count=config.options.min_count)
-
-    def group_confusion(group):
-        counts = micro_confusion(restriction.records, group)
-        return {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn}
 
     results = {
         "n_records": len(records),
@@ -326,19 +328,15 @@ def cmd_eval_dp(config: RunConfig) -> tuple[dict, dict[str, str]]:
         "zero_weight_codes": [str(code) for code in space.zero_count_codes],
         "dropped_predicted": restriction.dropped_predicted,
         "dropped_gold": restriction.dropped_gold,
-        "micro_confusion": {
-            "tp": confusion.tp, "fp": confusion.fp,
-            "fn": confusion.fn, "tn": confusion.tn,
-            "total": len(restriction.records) * len(space),
-        },
+        "micro_confusion": {**asdict(confusion), "total": len(restriction.records) * len(space)},
         "frequency_split": {
             "fraction": config.options.fraction,
             "min_count": config.options.min_count,
             "top": [str(code) for code in top],
             "bottom": [str(code) for code in bottom],
             # group confusion counts TN over the sub-space, not the full space
-            "top_confusion": group_confusion(top),
-            "bottom_confusion": group_confusion(bottom),
+            "top_confusion": asdict(micro_confusion(restriction.records, top)),
+            "bottom_confusion": asdict(micro_confusion(restriction.records, bottom)),
         },
     }
     return results, {}

@@ -10,29 +10,12 @@ group never count twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code, truncate_to_group
 from icdkit.jsonl import dump_jsonl, read_jsonl
 from icdkit.metrics import ConfusionCounts, MetricsReport, micro_report, sum_counts
-
-
-@dataclass(frozen=True)
-class CodeSets:
-    """Deduplicated predicted and gold code sets for one record."""
-
-    predicted: frozenset[IcdCode]
-    gold: frozenset[IcdCode]
-
-    @classmethod
-    def from_lists(cls, pred_codes: Iterable[IcdCode], gold_codes: Iterable[IcdCode]) -> "CodeSets":
-        return cls(frozenset(pred_codes), frozenset(gold_codes))
-
-    def counts(self) -> ConfusionCounts:
-        tp = len(self.predicted & self.gold)
-        return ConfusionCounts(tp, len(self.predicted) - tp, len(self.gold) - tp)
 
 
 def aggregate_document(
@@ -44,7 +27,9 @@ def aggregate_document(
     nothing predicted and nothing gold contributes (0, 0, 0) and is kept
     so per-record bookkeeping stays total.
     """
-    return CodeSets.from_lists(pred_codes, gold_codes).counts()
+    predicted, gold = set(pred_codes), set(gold_codes)
+    tp = len(predicted & gold)
+    return ConfusionCounts(tp, len(predicted) - tp, len(gold) - tp)
 
 
 def aggregate_relaxed(

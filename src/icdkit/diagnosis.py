@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from icdkit.codes import IcdCode, parse_code
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_jsonl
-from icdkit.metrics import ConfusionCounts
+from icdkit.metrics import ConfusionCounts, sum_counts
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,28 @@ class PerClassF1:
     no_support: frozenset[IcdCode]
 
 
+def code_counts(
+    records: Sequence[MultiLabelRecord], codes: Iterable[IcdCode]
+) -> dict[IcdCode, ConfusionCounts]:
+    """Per-code confusion counts over the records, for each of ``codes``.
+
+    One pass over each record's code sets counts tp, fp and fn; a code's
+    true negatives are the records left over, so each code's four counts
+    sum to ``len(records)``. The cost grows with the codes the records
+    carry, not with records times label space.
+    """
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for record in records:
+        tp.update(record.predicted & record.gold)
+        fp.update(record.predicted - record.gold)
+        fn.update(record.gold - record.predicted)
+    n = len(records)
+    return {
+        code: ConfusionCounts(tp[code], fp[code], fn[code], n - tp[code] - fp[code] - fn[code])
+        for code in codes
+    }
+
+
 def per_class_f1(records: Sequence[MultiLabelRecord], space: LabelSpace) -> PerClassF1:
     """Binary F1 per code over the records.
 
@@ -122,22 +145,11 @@ def per_class_f1(records: Sequence[MultiLabelRecord], space: LabelSpace) -> PerC
     flagged as no-support instead of being silently excluded, which would
     inflate the weighted average.
     """
-    scores: dict[IcdCode, float] = {}
-    no_support: set[IcdCode] = set()
-    for code in space.codes:
-        tp = fp = fn = 0
-        for record in records:
-            in_pred = code in record.predicted
-            in_gold = code in record.gold
-            tp += in_pred and in_gold
-            fp += in_pred and not in_gold
-            fn += in_gold and not in_pred
-        if tp + fp + fn == 0:
-            no_support.add(code)
-            scores[code] = 0.0
-        else:
-            scores[code] = 2 * tp / (2 * tp + fp + fn)
-    return PerClassF1(scores, frozenset(no_support))
+    table = code_counts(records, space.codes)
+    scores = {code: 2 * c.tp / (2 * c.tp + c.fp + c.fn) if c.tp + c.fp + c.fn else 0.0
+              for code, c in table.items()}
+    no_support = frozenset(code for code, c in table.items() if c.tp + c.fp + c.fn == 0)
+    return PerClassF1(scores, no_support)
 
 
 def weighted_f1(per_class: Mapping[IcdCode, float], space: LabelSpace) -> float:
@@ -157,20 +169,8 @@ def micro_confusion(
     the full label space.
     """
     codes = space.codes if isinstance(space, LabelSpace) else tuple(space)
-    tp = fp = fn = tn = 0
-    for record in records:
-        for code in codes:
-            in_pred = code in record.predicted
-            in_gold = code in record.gold
-            if in_pred and in_gold:
-                tp += 1
-            elif in_pred:
-                fp += 1
-            elif in_gold:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp, fp, fn, tn)
+    table = code_counts(records, codes)
+    return sum_counts(table[code] for code in codes)
 
 
 def frequency_split(

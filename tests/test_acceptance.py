@@ -20,6 +20,7 @@ from icdkit.codes import IcdCode, parse_code, truncate_to_group
 from icdkit.corpus import corpus_stats, iaa_ratio, pairwise_jaccard, read_corpus_dir
 from icdkit.diagnosis import (
     build_label_space,
+    code_counts,
     frequency_split,
     micro_confusion,
     per_class_f1,
@@ -342,6 +343,7 @@ def test_criterion_06_agreement_metrics():
 def test_criterion_07_dp_metrics_match_enumeration_oracle():
     rnd = random.Random(707)
     pool = [parse_code(f"A{i:02d}") for i in range(20)]
+    carried_outside = 0
     for corpus_idx in range(100):
         n_records = rnd.randint(1, 50)
         n_codes = rnd.randint(1, 20)
@@ -384,6 +386,30 @@ def test_criterion_07_dp_metrics_match_enumeration_oracle():
             assert math.isclose(scores[code], oracle_scores[code], rel_tol=0, abs_tol=1e-12)
         expected = sum(space.weights[code] * oracle_scores[code] for code in space.codes)
         assert math.isclose(weighted_f1(scores, space), expected, rel_tol=0, abs_tol=1e-12)
+
+        # a sub-group of the space plus one code outside it, on the unrestricted
+        # records: TN ranges over the group only and no other code is counted
+        outside = sorted({code for record in records for code in record.predicted}
+                         - set(space.codes))
+        carried_outside += bool(outside)
+        group = rnd.sample(space.codes, rnd.randint(0, len(space)))
+        group.append(rnd.choice(outside) if outside else parse_code("Z99"))
+        table = code_counts(records, group)
+        assert set(table) == set(group), f"corpus {corpus_idx}"
+        oracle_total = ConfusionCounts(0, 0, 0, 0)
+        for code in group:
+            ctp = cfp = cfn = ctn = 0
+            for record in records:
+                in_pred, in_gold = code in record.predicted, code in record.gold
+                ctp += in_pred and in_gold
+                cfp += in_pred and not in_gold
+                cfn += in_gold and not in_pred
+                ctn += not in_pred and not in_gold
+            assert table[code] == ConfusionCounts(ctp, cfp, cfn, ctn), f"corpus {corpus_idx}"
+            assert ctp + cfp + cfn + ctn == len(records)
+            oracle_total = oracle_total + ConfusionCounts(ctp, cfp, cfn, ctn)
+        assert micro_confusion(records, group) == oracle_total, f"corpus {corpus_idx}"
+    assert carried_outside > 0  # some groups hold a code the records carry outside the space
 
     # frequency_split against adversarial count shapes
     at_threshold = {parse_code(f"B{i:02d}"): 15 for i in range(10)}

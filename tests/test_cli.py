@@ -318,8 +318,11 @@ class TestMalformedRows:
         ("import-selection", "candidates", {"mention_id": "m1"}),
         ("import-selection", "selection", ["m1", 1]),
         ("eval-coding", "predictions", {"doc_id": ["d1"], "codes": ["J00"]}),
+        ("import-selection", "candidates", {"mention_id": ["m1"], "candidates": [{"code": "J00"}]}),
+        ("import-selection", "selection", {"mention_id": {"a": 1}, "selected_rank": 1}),
     ], ids=["selection-no-mention-id", "selection-no-rank", "candidates-no-candidates",
-            "selection-is-list", "predictions-list-doc-id"])
+            "selection-is-list", "predictions-list-doc-id", "candidates-list-mention-id",
+            "selection-object-mention-id"])
     def test_exits_3_naming_file_line(self, tmp_path, capsys, command, bad_key, row):
         good = {
             "import-selection": {

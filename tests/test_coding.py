@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icdkit.coding import (
-    CodeSets,
     aggregate_document,
     aggregate_relaxed,
     corpus_micro,
@@ -78,9 +77,8 @@ class TestAggregateDocument:
     def test_totals_equal_set_sizes(self, pred_texts, gold_texts):
         pred, gold = codes(*pred_texts), codes(*gold_texts)
         counts = aggregate_document(pred, gold)
-        sets = CodeSets.from_lists(pred, gold)
-        assert counts.tp + counts.fp == len(sets.predicted)
-        assert counts.tp + counts.fn == len(sets.gold)
+        assert counts.tp + counts.fp == len(set(pred))
+        assert counts.tp + counts.fn == len(set(gold))
 
 
 class TestCorpusMicro:
