@@ -48,6 +48,7 @@ from icdkit.retrieval import (
     DEFAULT_CANDIDATES,
     EmbeddingIndex,
     acc_at_k,
+    as_vector,
     baseline_selection,
     build_index,
     export_candidates,
@@ -156,11 +157,12 @@ def _load_index(config: RunConfig) -> tuple[IcdDictionary, EmbeddingIndex]:
 
 
 def _query_row(row: dict) -> dict:
+    gold = row.get("gold")
     return {
         "mention_id": str(row["mention_id"]),
         "mention": row.get("mention", ""),
-        "vector": [float(x) for x in row["vector"]],
-        "gold": row.get("gold"),
+        "vector": as_vector(row["vector"]),
+        "gold": parse_code(gold) if gold else None,
     }
 
 
@@ -258,8 +260,7 @@ def cmd_retrieve(config: RunConfig) -> tuple[dict, dict[str, str]]:
     ]
     results: dict = {"n_queries": len(queries), "k": config.options.k,
                      "files": {"hits": "retrieved.jsonl"}}
-    labelled = [(cands, parse_code(query["gold"]))
-                for query, cands in zip(queries, ranked) if query["gold"]]
+    labelled = [(cands, query["gold"]) for query, cands in zip(queries, ranked) if query["gold"]]
     if labelled:
         ks = sorted({1, 5, config.options.k})
         results["acc_at_k"] = {
@@ -345,8 +346,7 @@ def cmd_eval_dp(config: RunConfig) -> tuple[dict, dict[str, str]]:
 def cmd_export_candidates(config: RunConfig) -> tuple[dict, dict[str, str]]:
     dictionary, queries, ranked = _run_retrieval(config)
     rows = [
-        export_candidates(cands, dictionary, mention=query["mention"],
-                          mention_id=query["mention_id"])
+        export_candidates(cands, dictionary, mention=query["mention"])
         for query, cands in zip(queries, ranked)
     ]
     results = {"n_mentions": len(rows), "k": config.options.k,

@@ -52,6 +52,8 @@ def parse_code(text: str) -> IcdCode:
     :class:`InvalidFormatError`. Rendering the result with ``str()``
     reproduces the canonical form.
     """
+    if not isinstance(text, str):
+        raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
     stripped = text.strip()
     if not stripped:
         raise EmptyInputError("empty ICD code")

@@ -15,9 +15,10 @@ def read_jsonl(path: str | Path, row_fn: Callable[[Any], T]) -> Iterator[T]:
     """Yield ``row_fn(json.loads(line))`` for each non-blank line of a UTF-8 file.
 
     Rows are decoded one at a time; only what ``row_fn`` returns is kept. A
-    ``KeyError``, ``TypeError`` or ``ValueError`` raised while decoding or
-    shaping a row becomes :class:`InvalidFormatError` prefixed ``path:line``,
-    so checks across rows, such as duplicate ids, belong in ``row_fn``.
+    ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError`` raised
+    while decoding or shaping a row becomes :class:`InvalidFormatError`
+    prefixed ``path:line``, so checks across rows, such as duplicate ids,
+    belong in ``row_fn``.
     """
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -25,7 +26,7 @@ def read_jsonl(path: str | Path, row_fn: Callable[[Any], T]) -> Iterator[T]:
                 continue
             try:
                 value = row_fn(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
             yield value
 

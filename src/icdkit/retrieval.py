@@ -51,7 +51,9 @@ class EmbeddingIndex:
     number of threads and always returns the same ranking.
     """
 
-    def __init__(self, codes: Sequence[IcdCode], matrix: np.ndarray):
+    def __init__(self, codes: Sequence[IcdCode], matrix: np.ndarray | Sequence[Sequence[float]]):
+        # the one copy of the vectors: later writes to the caller's rows cannot reach it
+        matrix = np.array(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise DimensionMismatchError("embedding matrix must be 2-D")
         if len(codes) != matrix.shape[0]:
@@ -61,7 +63,7 @@ class EmbeddingIndex:
         if not np.isfinite(matrix).all():
             raise NonFiniteValueError("embedding matrix contains non-finite values")
         self.codes: tuple[IcdCode, ...] = tuple(codes)
-        self.matrix = matrix.astype(np.float64, copy=True)
+        self.matrix = matrix
         self.matrix.setflags(write=False)
 
     @property
@@ -107,9 +109,8 @@ def build_index(
             raise MissingVectorError(f"no vector for entry {entry.entry_id} ({entry.code})")
     if not len(dictionary):
         return EmbeddingIndex((), np.zeros((0, 1)))
-    # EmbeddingIndex rejects non-finite components
-    matrix = np.array([by_id[i] for i in range(len(dictionary))], dtype=np.float64)
-    return EmbeddingIndex([e.code for e in dictionary], matrix)
+    # EmbeddingIndex stacks the rows and rejects non-finite components
+    return EmbeddingIndex([e.code for e in dictionary], [by_id[i] for i in range(len(dictionary))])
 
 
 def retrieve(
@@ -152,18 +153,14 @@ def _code_hit(cands: RankedCandidates, gold: IcdCode, k: int, mode: str) -> bool
 
 
 def acc_at_k(
-    queries: Iterable[tuple[RankedCandidates | Sequence[float], IcdCode]],
-    k: int,
-    mode: str = "strict",
-    index: EmbeddingIndex | None = None,
+    queries: Iterable[tuple[RankedCandidates, IcdCode]], k: int, mode: str = "strict"
 ) -> float:
     """Fraction of queries whose gold code appears among the top-k codes.
 
-    Ranks are counted over unique codes (synonym entries collapsed), with
+    Each query is its ranked candidates and its gold code. Ranks are
+    counted over unique codes (synonym entries collapsed), with
     deduplication applied after truncation in relaxed mode so two
-    subcodes of one group occupy a single rank. Each query supplies
-    either precomputed candidates or a raw vector; vectors require the
-    ``index`` and are ranked against all of it before collapsing.
+    subcodes of one group occupy a single rank.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -171,21 +168,23 @@ def acc_at_k(
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
     total = 0
     hits = 0
-    for query, gold in queries:
-        if isinstance(query, RankedCandidates):
-            cands = query
-        else:
-            if index is None:
-                raise ValueError("vector queries need an index")
-            cands = retrieve(index, query, k=max(len(index), 1))
+    for cands, gold in queries:
         total += 1
         hits += _code_hit(cands, gold, k, mode)
     return hits / total if total else 0.0
 
 
-def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, list[float]]]:
+def as_vector(values: object) -> np.ndarray:
+    """One embedding as a float64 array; raises ValueError unless flat and finite."""
+    vector = np.array(values, dtype=np.float64)
+    if vector.ndim != 1 or not np.isfinite(vector).all():
+        raise ValueError("vector must be a flat list of finite numbers")
+    return vector
+
+
+def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
     """Read ``{"id": int, "vector": [floats]}`` rows from a JSONL file."""
-    return list(read_jsonl(path, lambda row: (int(row["id"]), [float(x) for x in row["vector"]])))
+    return list(read_jsonl(path, lambda row: (int(row["id"]), as_vector(row["vector"]))))
 
 
 def write_embeddings_jsonl(path: str | Path, rows: Iterable[tuple[int, Sequence[float]]]) -> None:
@@ -198,12 +197,9 @@ def write_embeddings_jsonl(path: str | Path, rows: Iterable[tuple[int, Sequence[
 
 
 def export_candidates(
-    cands: RankedCandidates,
-    dictionary: IcdDictionary,
-    mention: str,
-    mention_id: str | None = None,
+    cands: RankedCandidates, dictionary: IcdDictionary, mention: str
 ) -> dict:
-    """Shape one query's candidates as a reranker-facing record.
+    """Shape one query's candidates as a reranker-facing record keyed by its query id.
 
     Ranks are 1-based in retrieval order; each candidate carries the
     dictionary name behind its entry so the reranker sees surface forms,
@@ -211,7 +207,7 @@ def export_candidates(
     """
     return {
         "mention": mention,
-        "mention_id": mention_id if mention_id is not None else cands.query_id,
+        "mention_id": cands.query_id,
         "candidates": [
             {
                 "rank": rank,

@@ -320,9 +320,10 @@ class TestMalformedRows:
         ("eval-coding", "predictions", {"doc_id": ["d1"], "codes": ["J00"]}),
         ("import-selection", "candidates", {"mention_id": ["m1"], "candidates": [{"code": "J00"}]}),
         ("import-selection", "selection", {"mention_id": {"a": 1}, "selected_rank": 1}),
+        ("eval-coding", "predictions", {"doc_id": "d1", "codes": [5]}),
     ], ids=["selection-no-mention-id", "selection-no-rank", "candidates-no-candidates",
             "selection-is-list", "predictions-list-doc-id", "candidates-list-mention-id",
-            "selection-object-mention-id"])
+            "selection-object-mention-id", "predictions-int-code"])
     def test_exits_3_naming_file_line(self, tmp_path, capsys, command, bad_key, row):
         good = {
             "import-selection": {
@@ -341,6 +342,52 @@ class TestMalformedRows:
                                   encoding="utf-8")
         cfg = write_config(tmp_path / "cfg.json", paths)
         assert run_cli(command, cfg) == 3
+        assert f"{paths[bad_key].resolve()}:1:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # raw lines, since json.dumps cannot write 1e400 or a 400-digit float
+    @pytest.mark.parametrize("command, bad_key, line", [
+        ("retrieve", "embeddings", '{"id": 0, "vector": "12"}'),
+        ("retrieve", "embeddings", '{"id": 0, "vector": 5}'),
+        ("retrieve", "embeddings", '{"id": 0, "vector": [[1.0, 2.0]]}'),
+        ("retrieve", "embeddings", '{"id": 0, "vector": null}'),
+        ("retrieve", "embeddings", '{"id": 0, "vector": [NaN, 2.0]}'),
+        ("retrieve", "embeddings", '{"id": 1e400, "vector": [1.0, 2.0]}'),
+        ("retrieve", "embeddings", '{"id": 0, "vector": [%s, 2.0]}' % ("9" * 400)),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": "12", "gold": "J00"}'),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, Infinity]}'),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, 2.0], "gold": 5}'),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, 2.0], "gold": "XX"}'),
+        ("eval-dp", "records", '{"record_id": "r1", "gold": [7], "predicted": []}'),
+        ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": [{"start": 1e400, "end": 5}]}'),
+        ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": 1e400}'),
+    ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
+            "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
+            "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow"])
+    def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
+                                                command, bad_key, line):
+        good = {
+            "retrieve": {
+                "dictionary": "J00\tcold",
+                "embeddings": '{"id": 0, "vector": [1.0, 2.0]}',
+                "queries": '{"mention_id": "q1", "vector": [1.0, 2.0], "gold": "J00"}',
+            },
+            "eval-dp": {
+                "records": '{"record_id": "r1", "gold": ["J00"], "predicted": ["J00"]}',
+                "training_counts": "J00\t3",
+            },
+            "eval-ner": {"predictions": '{"doc_id": "rec001", "spans": []}'},
+            "import-selection": {
+                "candidates": '{"mention_id": "m1", "candidates": [{"rank": 1, "code": "J00"}]}',
+                "selection": '{"mention_id": "m1", "selected_rank": 1}',
+            },
+        }[command]
+        paths = {"output_dir": tmp_path / "out", "corpus_dir": corpus_dir}
+        for key, good_line in good.items():
+            paths[key] = tmp_path / f"{key}.txt"
+            paths[key].write_text((line if key == bad_key else good_line) + "\n",
+                                  encoding="utf-8")
+        assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 3
         assert f"{paths[bad_key].resolve()}:1:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

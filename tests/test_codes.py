@@ -48,7 +48,8 @@ class TestParseCode:
         with pytest.raises(InvalidFormatError):
             parse_code("10H.x")
 
-    @pytest.mark.parametrize("bad", ["", "   ", "H1", "H100", "h10", "Н10", "H10.", "H10.123", "AA10"])
+    @pytest.mark.parametrize("bad", ["", "   ", "H1", "H100", "h10", "Н10", "H10.", "H10.123", "AA10",
+                                     5, None, ["H10"]])
     def test_rejects_wrong_shapes(self, bad):
         # "Н10" uses a Cyrillic letter, which must not pass for Latin H
         with pytest.raises(InvalidFormatError):

@@ -76,14 +76,15 @@ def test_retrieve_export_select_aggregate_round_trip():
     for mention_id, vector in mention_vectors.items():
         cands = retrieve(index, vector, k=4, query_id=mention_id)
         assert [h.distance for h in cands.hits] == sorted(h.distance for h in cands.hits)
-        exported.append(export_candidates(cands, dictionary, mention=mention_id,
-                                          mention_id=mention_id))
+        exported.append(export_candidates(cands, dictionary, mention=mention_id))
+    assert [record["mention_id"] for record in exported] == ["m1", "m2"]
 
     # acc@1 sees the sibling miss strictly but forgives it relaxed
-    labelled = [([0.01, 0.0], parse_code("D50.9")), ([5.05, 0.1], parse_code("H10.3"))]
-    assert acc_at_k(labelled, 1, mode="strict", index=index) == 0.5
-    assert acc_at_k(labelled, 1, mode="relaxed", index=index) == 1.0
-    assert acc_at_k(labelled, 2, mode="strict", index=index) == 1.0
+    labelled = [(retrieve(index, vector, k=len(index)), parse_code(gold))
+                for vector, gold in (([0.01, 0.0], "D50.9"), ([5.05, 0.1], "H10.3"))]
+    assert acc_at_k(labelled, 1, mode="strict") == 0.5
+    assert acc_at_k(labelled, 1, mode="relaxed") == 1.0
+    assert acc_at_k(labelled, 2, mode="strict") == 1.0
 
     # the reranker boundary is plain JSONL both ways
     lines = [json.loads(json.dumps(record, ensure_ascii=False)) for record in exported]
