@@ -41,7 +41,7 @@ from icdkit.diagnosis import (
     weighted_f1,
 )
 from icdkit.errors import ConfigError, DataError, IcdkitError
-from icdkit.jsonl import dump_jsonl, read_jsonl
+from icdkit.jsonl import dump_jsonl, read_jsonl, string_id
 from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 from icdkit.retrieval import (
@@ -159,28 +159,21 @@ def _load_index(config: RunConfig) -> tuple[IcdDictionary, EmbeddingIndex]:
 def _query_row(row: dict) -> dict:
     gold = row.get("gold")
     return {
-        "mention_id": str(row["mention_id"]),
+        "mention_id": string_id(row, "mention_id"),
         "mention": row.get("mention", ""),
         "vector": as_vector(row["vector"]),
         "gold": parse_code(gold) if gold else None,
     }
 
 
-def _mention_id(row: dict) -> str:
-    # import_selection keys a dict by it, so a list or object id must fail here
-    if not isinstance(row["mention_id"], str):
-        raise TypeError(f"mention_id must be a string, got {row['mention_id']!r}")
-    return row["mention_id"]
-
-
 def _candidate_row(row: dict) -> dict:
-    # only the keys baseline_selection and import_selection index
-    return {"mention_id": _mention_id(row),
-            "candidates": [{"code": cand["code"]} for cand in row["candidates"]]}
+    # only the keys baseline_selection and import_selection index, every code checked here
+    return {"mention_id": string_id(row, "mention_id"),
+            "candidates": [{"code": str(parse_code(cand["code"]))} for cand in row["candidates"]]}
 
 
 def _selection_row(row: dict) -> dict:
-    return {"mention_id": _mention_id(row), "selected_rank": int(row["selected_rank"])}
+    return {"mention_id": string_id(row, "mention_id"), "selected_rank": int(row["selected_rank"])}
 
 
 def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -211,7 +204,8 @@ def cmd_stats(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
     records = list(read_jsonl(config.path("annotator_sets"),
-                              lambda row: [frozenset(codes) for codes in row["annotators"]]))
+                              lambda row: [frozenset(map(parse_code, codes))
+                                           for codes in row["annotators"]]))
     ratio = iaa_ratio(records, quorum=config.options.quorum,
                       per_record_mean=config.options.per_record_mean)
     jaccard = pairwise_jaccard(records)
@@ -286,9 +280,8 @@ def cmd_eval_ner(config: RunConfig) -> tuple[dict, dict[str, str]]:
             pred_spans = []
         # a span linked to several codes is still one gold mention
         gold_spans = list(dict.fromkeys((span.start, span.end) for span, _ in doc.entities))
-        per_doc.append(match_spans(pred_spans, gold_spans))
-    report = micro_report(sum_counts(per_doc))
-    results = report.as_dict()
+        per_doc.append(match_spans([(span.start, span.end) for span in pred_spans], gold_spans))
+    results = asdict(micro_report(sum_counts(per_doc)))
     results.update({"n_docs": len(docs), "n_docs_without_predictions": missing})
     return results, {}
 
@@ -302,8 +295,8 @@ def cmd_eval_coding(config: RunConfig) -> tuple[dict, dict[str, str]]:
     reports = evaluate_coding(predictions, gold)
     results = {
         "n_docs": len(gold),
-        "strict": reports["strict"].as_dict(),
-        "relaxed": reports["relaxed"].as_dict(),
+        "strict": asdict(reports["strict"]),
+        "relaxed": asdict(reports["relaxed"]),
     }
     return results, {}
 

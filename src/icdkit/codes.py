@@ -98,12 +98,11 @@ class IcdDictionary:
     def __init__(self, entries: Sequence[DictEntry], dropped_duplicates: int = 0):
         self.entries: tuple[DictEntry, ...] = tuple(entries)
         self.dropped_duplicates = dropped_duplicates
-        index: dict[IcdCode, list[int]] = {}
         for position, entry in enumerate(self.entries):
             if entry.entry_id != position:
                 raise ValueError(f"entry ids must be dense 0..N-1, got {entry.entry_id} at {position}")
-            index.setdefault(entry.code, []).append(entry.entry_id)
-        self._index = {code: tuple(ids) for code, ids in index.items()}
+        # unique codes in first-occurrence order
+        self.codes: tuple[IcdCode, ...] = tuple(dict.fromkeys(e.code for e in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -113,18 +112,6 @@ class IcdDictionary:
 
     def entry(self, entry_id: int) -> DictEntry:
         return self.entries[entry_id]
-
-    def entry_ids(self, code: IcdCode) -> tuple[int, ...]:
-        """Entry ids registered for a code, in insertion order."""
-        return self._index.get(code, ())
-
-    @property
-    def codes(self) -> tuple[IcdCode, ...]:
-        """Unique codes in first-occurrence order."""
-        return tuple(self._index)
-
-    def key_set(self) -> set[tuple[str, str]]:
-        return {(str(e.code), e.name) for e in self.entries}
 
 
 def _extend(entries: list[DictEntry], rows: Iterable[tuple[str, str]]) -> IcdDictionary:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code, truncate_to_group
-from icdkit.jsonl import dump_jsonl, read_jsonl
+from icdkit.jsonl import read_jsonl, string_id
 from icdkit.metrics import ConfusionCounts, MetricsReport, micro_report, sum_counts
 
 
@@ -73,14 +73,8 @@ def read_code_predictions(path: str | Path) -> dict[str, list[IcdCode]]:
 
     def add_row(row: dict) -> None:
         codes = [parse_code(text) for text in row["codes"]]
-        out.setdefault(row["doc_id"], []).extend(codes)
+        out.setdefault(string_id(row, "doc_id"), []).extend(codes)
 
     for _ in read_jsonl(path, add_row):
         pass
     return out
-
-
-def write_code_predictions(path: str | Path, records: Mapping[str, Sequence[IcdCode]]) -> None:
-    rows = ({"doc_id": doc_id, "codes": [str(code) for code in records[doc_id]]}
-            for doc_id in records)
-    Path(path).write_text(dump_jsonl(rows), encoding="utf-8")

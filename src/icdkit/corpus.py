@@ -132,23 +132,6 @@ def read_corpus_dir(corpus_dir: str | Path) -> list[AnnotatedDocument]:
     return docs
 
 
-def render_ann(doc: AnnotatedDocument, label: str = "Disease", resource: str = "ICD10") -> str:
-    """Re-serialize the entities the parser owns back to T/N lines.
-
-    Parsing the result recovers the same (span, code) multiset, which is
-    the round-trip contract; labels and reference names are not retained.
-    A surface spanning a line break cannot be represented in the line
-    format and is rejected.
-    """
-    lines = []
-    for i, (span, code) in enumerate(doc.entities, start=1):
-        if "\n" in span.surface or "\r" in span.surface:
-            raise ValueError(f"entity at [{span.start}, {span.end}) spans a line break")
-        lines.append(f"T{i}\t{label} {span.start} {span.end}\t{span.surface}")
-        lines.append(f"N{i}\tReference T{i} {resource}:{code}\t{code}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 @dataclass(frozen=True)
 class CorpusStats:
     n_records: int

@@ -31,6 +31,13 @@ def read_jsonl(path: str | Path, row_fn: Callable[[Any], T]) -> Iterator[T]:
             yield value
 
 
+def string_id(row: dict, key: str) -> str:
+    """``row[key]``, which must be a JSON string: ids are strings in every file."""
+    if not isinstance(row[key], str):
+        raise TypeError(f"{key} must be a string, got {row[key]!r}")
+    return row[key]
+
+
 def dump_jsonl(rows: Iterable[dict]) -> str:
     """Render rows as JSONL the way every icdkit artifact is written."""
     return "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows)

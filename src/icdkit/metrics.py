@@ -46,17 +46,6 @@ class MetricsReport:
     f1: float
     accuracy: float
 
-    def as_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-        }
-
 
 def micro_report(counts: ConfusionCounts) -> MetricsReport:
     """Derive precision/recall/F1/accuracy from summed confusion counts.

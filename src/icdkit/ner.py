@@ -10,38 +10,26 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from icdkit.codes import normalize_name
 from icdkit.corpus import Span
-from icdkit.jsonl import read_jsonl
+from icdkit.jsonl import read_jsonl, string_id
 from icdkit.metrics import ConfusionCounts
 
 
-def _boundaries(spans: Iterable[Span | tuple[int, int]]) -> list[tuple[int, int]]:
-    out = []
-    for span in spans:
-        if isinstance(span, Span):
-            out.append((span.start, span.end))
-        else:
-            start, end = span
-            out.append((int(start), int(end)))
-    return out
-
-
-def match_spans(pred: Sequence[Span | tuple[int, int]],
-                gold: Sequence[Span | tuple[int, int]]) -> ConfusionCounts:
-    """Count exact-boundary span matches between predictions and gold.
+def match_spans(pred: Sequence[tuple[int, int]], gold: Sequence[tuple[int, int]]) -> ConfusionCounts:
+    """Count exact-boundary matches between predicted and gold ``(start, end)`` pairs.
 
     Matching is greedy one-to-one: a prediction is a true positive only
     while an unmatched gold span with the same (start, end) remains, so a
     duplicated prediction scores one TP and one FP. Counts from multiple
     documents can simply be summed.
     """
-    remaining = Counter(_boundaries(gold))
+    remaining = Counter(gold)
     tp = 0
     fp = 0
-    for key in _boundaries(pred):
+    for key in pred:
         if remaining[key] > 0:
             remaining[key] -= 1
             tp += 1
@@ -95,7 +83,7 @@ def read_span_predictions(path: str | Path) -> dict[str, list[Span]]:
 
     def add_row(row: dict) -> None:
         spans = [Span(int(s["start"]), int(s["end"]), s.get("text", "")) for s in row["spans"]]
-        predictions.setdefault(row["doc_id"], []).extend(spans)
+        predictions.setdefault(string_id(row, "doc_id"), []).extend(spans)
 
     for _ in read_jsonl(path, add_row):
         pass

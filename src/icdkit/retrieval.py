@@ -138,11 +138,6 @@ def retrieve(
     return RankedCandidates(query_id=query_id, hits=hits)
 
 
-def collapse_to_codes(cands: RankedCandidates) -> list[IcdCode]:
-    """Unique codes of a hit list, keeping first-occurrence (best-rank) order."""
-    return list(dict.fromkeys(hit.code for hit in cands.hits))
-
-
 def _code_hit(cands: RankedCandidates, gold: IcdCode, k: int, mode: str) -> bool:
     codes = [hit.code for hit in cands.hits]
     if mode == "relaxed":

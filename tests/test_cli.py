@@ -321,9 +321,16 @@ class TestMalformedRows:
         ("import-selection", "candidates", {"mention_id": ["m1"], "candidates": [{"code": "J00"}]}),
         ("import-selection", "selection", {"mention_id": {"a": 1}, "selected_rank": 1}),
         ("eval-coding", "predictions", {"doc_id": "d1", "codes": [5]}),
+        ("import-selection", "candidates",
+         {"mention_id": "m1", "candidates": [{"rank": 1, "code": "J00"}, {"rank": 2, "code": "XX"}]}),
+        ("import-selection", "candidates",
+         {"mention_id": "m1", "candidates": [{"rank": 1, "code": 5}]}),
+        ("eval-coding", "predictions", {"doc_id": 5, "codes": ["J00"]}),
+        ("eval-coding", "gold", {"doc_id": 5, "codes": ["J00"]}),
     ], ids=["selection-no-mention-id", "selection-no-rank", "candidates-no-candidates",
             "selection-is-list", "predictions-list-doc-id", "candidates-list-mention-id",
-            "selection-object-mention-id", "predictions-int-code"])
+            "selection-object-mention-id", "predictions-int-code", "candidates-unselected-bad-code",
+            "candidates-selected-int-code", "predictions-int-doc-id", "gold-int-doc-id"])
     def test_exits_3_naming_file_line(self, tmp_path, capsys, command, bad_key, row):
         good = {
             "import-selection": {
@@ -361,9 +368,17 @@ class TestMalformedRows:
         ("eval-dp", "records", '{"record_id": "r1", "gold": [7], "predicted": []}'),
         ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": [{"start": 1e400, "end": 5}]}'),
         ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": 1e400}'),
+        ("retrieve", "queries", '{"mention_id": null, "vector": [1.0, 2.0]}'),
+        ("retrieve", "queries", '{"mention_id": 5, "vector": [1.0, 2.0]}'),
+        ("eval-ner", "predictions", '{"doc_id": 5, "spans": []}'),
+        ("eval-dp", "records", '{"record_id": 5, "gold": ["J00"], "predicted": []}'),
+        ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["XX", 5], ["XX"]]}'),
+        ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [[5], ["J00"]]}'),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
-            "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow"])
+            "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
+            "query-null-mention-id", "query-int-mention-id", "span-int-doc-id",
+            "records-int-record-id", "annotator-malformed-codes", "annotator-int-code"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         good = {
@@ -377,6 +392,7 @@ class TestMalformedRows:
                 "training_counts": "J00\t3",
             },
             "eval-ner": {"predictions": '{"doc_id": "rec001", "spans": []}'},
+            "agreement": {"annotator_sets": '{"record_id": "r1", "annotators": [["J00"], ["J00"]]}'},
             "import-selection": {
                 "candidates": '{"mention_id": "m1", "candidates": [{"rank": 1, "code": "J00"}]}',
                 "selection": '{"mention_id": "m1", "selected_rank": 1}',

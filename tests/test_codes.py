@@ -30,6 +30,11 @@ code_strategy = st.builds(
 )
 
 
+def key_set(dictionary):
+    """The normalized (code text, name) pairs a dictionary holds."""
+    return {(str(e.code), e.name) for e in dictionary}
+
+
 class TestParseCode:
     def test_subcoded(self):
         code = parse_code("H10.0")
@@ -122,7 +127,7 @@ class TestLoadDictionary:
     def test_entry_ids_dense_and_stable(self):
         d = load_dictionary([("J00", "cold"), ("H10", "conjunctivitis"), ("H10", "pink eye")])
         assert [e.entry_id for e in d] == [0, 1, 2]
-        assert d.entry_ids(parse_code("H10")) == (1, 2)
+        assert [e.entry_id for e in d if e.code == parse_code("H10")] == [1, 2]
         assert d.entry(0).name == "cold"
 
     def test_codes_first_occurrence_order(self):
@@ -135,7 +140,7 @@ class TestMergeSynonyms:
         base = load_dictionary([("H10", "conjunctivitis")])
         merged = merge_synonyms(base, [("H10", "pink eye")])
         assert len(merged) == 2
-        assert merged.entry_ids(parse_code("H10")) == (0, 1)
+        assert [e.entry_id for e in merged if e.code == parse_code("H10")] == [0, 1]
 
     def test_duplicates_leave_content_unchanged(self):
         base = load_dictionary([("H10", "conjunctivitis"), ("J00", "cold")])
@@ -147,7 +152,7 @@ class TestMergeSynonyms:
         base = load_dictionary([("H10", "conjunctivitis")])
         merged = merge_synonyms(base, [("J00", "cold")])
         # set-union oracle over normalized (code, name) pairs
-        assert merged.key_set() == base.key_set() | {("J00", "cold")}
+        assert key_set(merged) == key_set(base) | {("J00", "cold")}
 
     def test_base_ids_unchanged(self):
         base = load_dictionary([("H10", "a"), ("J00", "b")])
@@ -164,7 +169,7 @@ class TestMergeSynonyms:
         extra_rows = [(str(c), n) for c, n in extra_rows]
         merged = merge_synonyms(load_dictionary(base_rows), extra_rows)
         expected = {(str(parse_code(c)), normalize_name(n)) for c, n in base_rows + extra_rows}
-        assert merged.key_set() == expected
+        assert key_set(merged) == expected
         # exactly once: entry count equals the number of distinct pairs
         assert len(merged) == len(expected)
 

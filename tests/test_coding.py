@@ -1,5 +1,6 @@
 """Tests for EHR-level code aggregation and end-to-end coding metrics."""
 
+import json
 import math
 
 import pytest
@@ -12,7 +13,6 @@ from icdkit.coding import (
     corpus_micro,
     evaluate_coding,
     read_code_predictions,
-    write_code_predictions,
 )
 from icdkit.codes import parse_code
 from icdkit.metrics import ConfusionCounts, micro_report
@@ -191,6 +191,8 @@ class TestEvaluateCoding:
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         records = {"d1": codes("H10.0", "H10.0", "J00"), "d2": []}
-        write_code_predictions(path, records)
+        rows = [{"doc_id": doc_id, "codes": [str(code) for code in records[doc_id]]}
+                for doc_id in records]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
         loaded = read_code_predictions(path)
         assert loaded == records

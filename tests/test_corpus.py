@@ -17,7 +17,6 @@ from icdkit.corpus import (
     pairwise_jaccard,
     parse_brat,
     read_corpus_dir,
-    render_ann,
 )
 from icdkit.errors import (
     BadCodeError,
@@ -26,6 +25,24 @@ from icdkit.errors import (
     OffsetMismatchError,
     QuorumTooLowError,
 )
+
+
+def render_ann(doc: AnnotatedDocument, label: str = "Disease", resource: str = "ICD10") -> str:
+    """Re-serialize the entities the parser owns back to T/N lines.
+
+    Parsing the result recovers the same (span, code) multiset, which is
+    the round-trip contract; labels and reference names are not retained.
+    A surface spanning a line break cannot be represented in the line
+    format and is rejected.
+    """
+    lines = []
+    for i, (span, code) in enumerate(doc.entities, start=1):
+        if "\n" in span.surface or "\r" in span.surface:
+            raise ValueError(f"entity at [{span.start}, {span.end}) spans a line break")
+        lines.append(f"T{i}\t{label} {span.start} {span.end}\t{span.surface}")
+        lines.append(f"N{i}\tReference T{i} {resource}:{code}\t{code}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
 
 TEXT = "анемия- легкой степени"
 ANN = "T1\tDisease 0 7\tанемия-\nN1\tReference T1 ICD10:D50.9\tанемия неуточненная\n"

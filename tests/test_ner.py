@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdkit.corpus import Span
 from icdkit.metrics import ConfusionCounts, micro_report
 from icdkit.ner import fuzzy_verify, match_spans, min_substring_distance, read_span_predictions
 
@@ -48,10 +47,6 @@ class TestMatchSpans:
         # a duplicated prediction can consume the gold span only once
         counts = match_spans([(0, 5), (0, 5)], [(0, 5)])
         assert (counts.tp, counts.fp, counts.fn) == (1, 1, 0)
-
-    def test_accepts_span_objects(self):
-        counts = match_spans([Span(0, 5, "abcde")], [Span(0, 5, "abcde")])
-        assert counts.tp == 1
 
     def test_totals_tie_to_inputs(self):
         pred = [(0, 1), (2, 3), (2, 3)]

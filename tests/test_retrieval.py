@@ -25,7 +25,6 @@ from icdkit.retrieval import (
     acc_at_k,
     baseline_selection,
     build_index,
-    collapse_to_codes,
     export_candidates,
     import_selection,
     load_embeddings_jsonl,
@@ -148,33 +147,6 @@ class TestRetrieve:
         index = build_index(load_dictionary(rows), dict(enumerate(vectors)))
         cands = retrieve(index, query, k)
         assert [(h.entry_id, h.distance) for h in cands.hits] == brute_force(vectors, query, k)
-
-
-class TestCollapseToCodes:
-    def cands(self, codes):
-        hits = tuple(Hit(i, parse_code(c), float(i)) for i, c in enumerate(codes))
-        return RankedCandidates("q", hits)
-
-    def test_keeps_first_occurrence(self):
-        collapsed = collapse_to_codes(self.cands(["H10.0", "H10.0", "J00"]))
-        assert [str(c) for c in collapsed] == ["H10.0", "J00"]
-
-    def test_all_distinct_unchanged(self):
-        collapsed = collapse_to_codes(self.cands(["H10.0", "J00", "E11.9"]))
-        assert [str(c) for c in collapsed] == ["H10.0", "J00", "E11.9"]
-
-    def test_empty(self):
-        assert collapse_to_codes(self.cands([])) == []
-
-    @given(st.lists(st.sampled_from(["H10.0", "H10.1", "J00", "E11.9"]), max_size=10))
-    def test_never_longer_and_order_preserved(self, codes):
-        cands = self.cands(codes)
-        collapsed = collapse_to_codes(cands)
-        assert len(collapsed) <= len(cands.hits)
-        remaining = iter(codes)
-        for code in collapsed:
-            assert str(code) in remaining  # consumes: enforces relative order
-        assert len(set(collapsed)) == len(collapsed)
 
 
 def ranked(codes, query_id="q"):
