@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from icdkit import __version__
 from icdkit.coding import evaluate_coding, read_code_predictions
@@ -41,21 +42,12 @@ from icdkit.diagnosis import (
     weighted_f1,
 )
 from icdkit.errors import ConfigError, DataError, IcdkitError
-from icdkit.jsonl import dump_jsonl, read_jsonl, string_id
+from icdkit.jsonl import dump_jsonl, read_jsonl, typed_field
 from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
-from icdkit.retrieval import (
-    DEFAULT_CANDIDATES,
-    EmbeddingIndex,
-    acc_at_k,
-    as_vector,
-    baseline_selection,
-    build_index,
-    export_candidates,
-    import_selection,
-    load_embeddings_jsonl,
-    retrieve,
-)
+
+if TYPE_CHECKING:  # numpy costs ~0.17 s, so only retrieval steps import retrieval
+    from icdkit.retrieval import EmbeddingIndex
 
 _PATH_KEYS = frozenset({
     "corpus_dir", "dictionary", "synonyms", "embeddings", "queries",
@@ -66,7 +58,7 @@ _PATH_KEYS = frozenset({
 
 @dataclass(frozen=True)
 class Options:
-    k: int = DEFAULT_CANDIDATES
+    k: int = 15
     quorum: int = 2
     fraction: float = 0.10
     min_count: int = 15
@@ -149,6 +141,7 @@ class RunConfig:
 
 
 def _load_index(config: RunConfig) -> tuple[IcdDictionary, EmbeddingIndex]:
+    from icdkit.retrieval import build_index, load_embeddings_jsonl
     dictionary = load_dictionary_tsv(config.path("dictionary"))
     synonyms_path = config.path("synonyms", required=False)
     if synonyms_path is not None:
@@ -157,9 +150,10 @@ def _load_index(config: RunConfig) -> tuple[IcdDictionary, EmbeddingIndex]:
 
 
 def _query_row(row: dict) -> dict:
+    from icdkit.retrieval import as_vector
     gold = row.get("gold")
     return {
-        "mention_id": string_id(row, "mention_id"),
+        "mention_id": typed_field(row, "mention_id", str),
         "mention": row.get("mention", ""),
         "vector": as_vector(row["vector"]),
         "gold": parse_code(gold) if gold else None,
@@ -168,12 +162,13 @@ def _query_row(row: dict) -> dict:
 
 def _candidate_row(row: dict) -> dict:
     # only the keys baseline_selection and import_selection index, every code checked here
-    return {"mention_id": string_id(row, "mention_id"),
+    return {"mention_id": typed_field(row, "mention_id", str),
             "candidates": [{"code": str(parse_code(cand["code"]))} for cand in row["candidates"]]}
 
 
 def _selection_row(row: dict) -> dict:
-    return {"mention_id": string_id(row, "mention_id"), "selected_rank": int(row["selected_rank"])}
+    return {"mention_id": typed_field(row, "mention_id", str),
+            "selected_rank": typed_field(row, "selected_rank", int)}
 
 
 def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -231,6 +226,7 @@ def cmd_index(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[dict], list]:
+    from icdkit.retrieval import retrieve
     dictionary, index = _load_index(config)
     queries = list(read_jsonl(config.path("queries"), _query_row))
     ranked = [
@@ -241,6 +237,7 @@ def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[dict], list]:
 
 
 def cmd_retrieve(config: RunConfig) -> tuple[dict, dict[str, str]]:
+    from icdkit.retrieval import acc_at_k
     _, queries, ranked = _run_retrieval(config)
     rows = [
         {
@@ -337,6 +334,7 @@ def cmd_eval_dp(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def cmd_export_candidates(config: RunConfig) -> tuple[dict, dict[str, str]]:
+    from icdkit.retrieval import export_candidates
     dictionary, queries, ranked = _run_retrieval(config)
     rows = [
         export_candidates(cands, dictionary, mention=query["mention"])
@@ -348,6 +346,7 @@ def cmd_export_candidates(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def cmd_import_selection(config: RunConfig) -> tuple[dict, dict[str, str]]:
+    from icdkit.retrieval import baseline_selection, import_selection
     candidate_records = list(read_jsonl(config.path("candidates"), _candidate_row))
     selection_path = config.path("selection", required=False)
     baseline = selection_path is None
@@ -405,11 +404,15 @@ def run(command: str, config: RunConfig) -> dict:
     }
     out_dir = config.path("output_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for filename, content in artifacts.items():
-        (out_dir / filename).write_text(content, encoding="utf-8")
-    report_name = command.replace("-", "_") + ".json"
     report_text = json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-    (out_dir / report_name).write_text(report_text, encoding="utf-8")
+    # the report last; each file is renamed into place whole, never seen half written
+    for filename, text in {**artifacts, command.replace("-", "_") + ".json": report_text}.items():
+        tmp = out_dir / (filename + ".tmp")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, out_dir / filename)
+        finally:
+            tmp.unlink(missing_ok=True)
     return report
 
 

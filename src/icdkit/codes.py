@@ -54,6 +54,11 @@ def parse_code(text: str) -> IcdCode:
     """
     if not isinstance(text, str):
         raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
+    return _parse_text(text)
+
+
+@functools.lru_cache(maxsize=1 << 15)  # above ICD-10's ~14k codes; a raise is not cached
+def _parse_text(text: str) -> IcdCode:
     stripped = text.strip()
     if not stripped:
         raise EmptyInputError("empty ICD code")

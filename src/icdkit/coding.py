@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code, truncate_to_group
-from icdkit.jsonl import read_jsonl, string_id
+from icdkit.jsonl import read_jsonl, typed_field
 from icdkit.metrics import ConfusionCounts, MetricsReport, micro_report, sum_counts
 
 
@@ -73,7 +73,7 @@ def read_code_predictions(path: str | Path) -> dict[str, list[IcdCode]]:
 
     def add_row(row: dict) -> None:
         codes = [parse_code(text) for text in row["codes"]]
-        out.setdefault(string_id(row, "doc_id"), []).extend(codes)
+        out.setdefault(typed_field(row, "doc_id", str), []).extend(codes)
 
     for _ in read_jsonl(path, add_row):
         pass

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import read_jsonl, string_id
+from icdkit.jsonl import read_jsonl, typed_field
 from icdkit.metrics import ConfusionCounts, sum_counts
 
 
@@ -201,7 +201,7 @@ def read_records_jsonl(path: str | Path) -> list[MultiLabelRecord]:
     seen: set[str] = set()
 
     def record(row: dict) -> MultiLabelRecord:
-        record_id = string_id(row, "record_id")
+        record_id = typed_field(row, "record_id", str)
         gold = frozenset(parse_code(text) for text in row["gold"])
         predicted = frozenset(parse_code(text) for text in row["predicted"])
         if record_id in seen:

@@ -31,10 +31,11 @@ def read_jsonl(path: str | Path, row_fn: Callable[[Any], T]) -> Iterator[T]:
             yield value
 
 
-def string_id(row: dict, key: str) -> str:
-    """``row[key]``, which must be a JSON string: ids are strings in every file."""
-    if not isinstance(row[key], str):
-        raise TypeError(f"{key} must be a string, got {row[key]!r}")
+def typed_field(row: dict, key: str, kind: type[T]) -> T:
+    """``row[key]``, which must be a JSON value of exactly type ``kind``: ids
+    are strings in every file, and an int field rejects ``true``, ``0.7`` and ``"0"``."""
+    if type(row[key]) is not kind:
+        raise TypeError(f"{key} must be {kind.__name__}, got {row[key]!r}")
     return row[key]
 
 

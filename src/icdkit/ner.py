@@ -14,7 +14,7 @@ from typing import Sequence
 
 from icdkit.codes import normalize_name
 from icdkit.corpus import Span
-from icdkit.jsonl import read_jsonl, string_id
+from icdkit.jsonl import read_jsonl, typed_field
 from icdkit.metrics import ConfusionCounts
 
 
@@ -41,23 +41,36 @@ def match_spans(pred: Sequence[tuple[int, int]], gold: Sequence[tuple[int, int]]
 
 def min_substring_distance(needle: str, haystack: str) -> int:
     """Smallest Levenshtein distance from ``needle`` to any substring of
-    ``haystack`` (Sellers' algorithm: matches may start anywhere for free).
+    ``haystack``, by Myers' bit-vector search (J. ACM 46(3), 1999) in
+    Hyyrö's 2003 search form: O(len(haystack)) big-int operations.
     """
-    if not needle:
-        return 0
-    if not haystack:
-        return len(needle)
-    previous = [0] * (len(haystack) + 1)
-    for i, nc in enumerate(needle, start=1):
-        current = [i]
-        for j, hc in enumerate(haystack, start=1):
-            current.append(min(
-                previous[j - 1] + (nc != hc),
-                previous[j] + 1,
-                current[j - 1] + 1,
-            ))
-        previous = current
-    return min(previous)
+    m = len(needle)
+    if not m or not haystack:
+        return m
+    peq: dict[str, int] = {}
+    for i, char in enumerate(needle):
+        peq[char] = peq.get(char, 0) | 1 << i
+    # bit i of pv/mv is a +1/-1 step from row i to row i+1 of Sellers' DP
+    # column; masks keep the vectors m bits wide, as Python's ~ is negative
+    mask, last = (1 << m) - 1, 1 << (m - 1)
+    pv, mv, score, best = mask, 0, m, m
+    for char in haystack:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv) & mask
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # no carry-in: row 0 is all zeros, since a match may start anywhere
+        ph <<= 1
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+        if score < best:
+            best = score
+    return best
 
 
 def fuzzy_verify(entity: str, source: str, max_dist: int = 2) -> bool:
@@ -82,8 +95,9 @@ def read_span_predictions(path: str | Path) -> dict[str, list[Span]]:
     predictions: dict[str, list[Span]] = {}
 
     def add_row(row: dict) -> None:
-        spans = [Span(int(s["start"]), int(s["end"]), s.get("text", "")) for s in row["spans"]]
-        predictions.setdefault(string_id(row, "doc_id"), []).extend(spans)
+        spans = [Span(typed_field(s, "start", int), typed_field(s, "end", int), s.get("text", ""))
+                 for s in row["spans"]]
+        predictions.setdefault(typed_field(row, "doc_id", str), []).extend(spans)
 
     for _ in read_jsonl(path, add_row):
         pass

@@ -24,9 +24,7 @@ from icdkit.errors import (
     NonFiniteValueError,
     SelectionOutOfRangeError,
 )
-from icdkit.jsonl import read_jsonl
-
-DEFAULT_CANDIDATES = 15
+from icdkit.jsonl import read_jsonl, typed_field
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ def as_vector(values: object) -> np.ndarray:
 
 def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
     """Read ``{"id": int, "vector": [floats]}`` rows from a JSONL file."""
-    return list(read_jsonl(path, lambda row: (int(row["id"]), as_vector(row["vector"]))))
+    return list(read_jsonl(path, lambda row: (typed_field(row, "id", int), as_vector(row["vector"]))))
 
 
 def write_embeddings_jsonl(path: str | Path, rows: Iterable[tuple[int, Sequence[float]]]) -> None:

@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,38 @@ class TestStats:
         cfg2 = write_config(tmp_path / "c2.json", {"corpus_dir": corpus_dir, "output_dir": out2})
         run_cli("stats", cfg2)
         assert json.loads(first)["results"] == load_report(out2, "stats")["results"]
+
+    def test_no_tmp_file_remains(self, tmp_path, corpus_dir):
+        out = tmp_path / "out"
+        assert run_cli("parse", write_config(tmp_path / "cfg.json",
+                                             {"corpus_dir": corpus_dir, "output_dir": out})) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["doc_codes.jsonl", "parse.json",
+                                                         "parsed.jsonl"]
+
+    def test_interrupted_write_keeps_previous_report(self, tmp_path, corpus_dir, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", {"corpus_dir": corpus_dir, "output_dir": out})
+        assert run_cli("stats", cfg) == 0
+        before = (out / "stats.json").read_bytes()
+        write_text = Path.write_text
+
+        def torn_write(path, text, *args, **kwargs):
+            write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        assert run_cli("stats", cfg) == 3
+        monkeypatch.undo()
+        assert (out / "stats.json").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["stats.json"]
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # only the retrieval steps pay for numpy
+        code = "import icdkit.cli, sys; assert 'numpy' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
 
 
 class TestParseAndEvalCoding:
@@ -374,11 +410,22 @@ class TestMalformedRows:
         ("eval-dp", "records", '{"record_id": 5, "gold": ["J00"], "predicted": []}'),
         ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["XX", 5], ["XX"]]}'),
         ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [[5], ["J00"]]}'),
+        ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": [{"start": "0", "end": 5}]}'),
+        ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": [{"start": 0, "end": 4.9}]}'),
+        ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": [{"start": true, "end": 5}]}'),
+        ("retrieve", "embeddings", '{"id": 0.7, "vector": [1.0, 2.0]}'),
+        ("retrieve", "embeddings", '{"id": "0", "vector": [1.0, 2.0]}'),
+        ("retrieve", "embeddings", '{"id": false, "vector": [1.0, 2.0]}'),
+        ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": "1"}'),
+        ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": 1.9}'),
+        ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": true}'),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
             "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
             "query-null-mention-id", "query-int-mention-id", "span-int-doc-id",
-            "records-int-record-id", "annotator-malformed-codes", "annotator-int-code"])
+            "records-int-record-id", "annotator-malformed-codes", "annotator-int-code",
+            "span-string-start", "span-float-end", "span-bool-start", "id-float", "id-string",
+            "id-bool", "rank-string", "rank-float", "rank-bool"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         good = {

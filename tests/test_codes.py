@@ -64,6 +64,13 @@ class TestParseCode:
         with pytest.raises(EmptyInputError):
             parse_code("")
 
+    def test_repeated_text_shares_one_code(self):
+        # parses are cached per text; a failure is raised again, never cached
+        assert parse_code("H10.0") is parse_code("H10.0")
+        for _ in range(2):
+            with pytest.raises(InvalidFormatError, match="' XX '"):
+                parse_code(" XX ")
+
     def test_whitespace_tolerated(self):
         assert str(parse_code(" E11.9 ")) == "E11.9"
 

@@ -1,6 +1,7 @@
 """Tests for span matching, micro metrics, and fuzzy text verification."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,26 @@ def levenshtein(a: str, b: str) -> int:
             table[i][j] = min(table[i - 1][j] + 1, table[i][j - 1] + 1,
                               table[i - 1][j - 1] + cost)
     return table[len(a)][len(b)]
+
+
+def sellers_distance(needle: str, haystack: str) -> int:
+    """Reference O(m*n) DP for ``min_substring_distance`` (Sellers' algorithm:
+    row 0 is all zeros, so a match may start anywhere for free)."""
+    if not needle:
+        return 0
+    if not haystack:
+        return len(needle)
+    previous = [0] * (len(haystack) + 1)
+    for i, nc in enumerate(needle, start=1):
+        current = [i]
+        for j, hc in enumerate(haystack, start=1):
+            current.append(min(
+                previous[j - 1] + (nc != hc),
+                previous[j] + 1,
+                current[j - 1] + 1,
+            ))
+        previous = current
+    return min(previous)
 
 
 def best_substring_distance(entity: str, source: str) -> int:
@@ -135,6 +156,58 @@ class TestFuzzyVerify:
     @given(st.text("абв", min_size=1, max_size=6), st.text("абв", max_size=12))
     def test_agrees_with_substring_oracle(self, entity, source):
         assert min_substring_distance(entity, source) == best_substring_distance(entity, source)
+
+
+# a combining acute accent, two non-BMP characters and a space
+_ALPHABET = "ab\u0301\U0001F600\U00010348 "
+
+
+class TestBitVectorSearch:
+    """``min_substring_distance`` (Myers' bit vectors) against Sellers' DP."""
+
+    @pytest.mark.parametrize("needle, haystack, expected", [
+        ("", "", 0),
+        ("", "abc", 0),
+        ("abc", "", 3),
+        ("abcdef", "abc", 3),      # needle longer than its haystack
+        ("abc", "b", 2),           # one-character haystack
+        ("x", "b", 1),
+        ("aaaa", "aaaaaaaa", 0),   # runs of one repeated character
+        ("aaaaaaaa", "aaaa", 4),
+        ("abcd", "abcdzzzz", 0),   # exact match at offset 0
+        ("abcd", "zzzzabcd", 0),   # exact match at the end
+        ("e\u0301\U0001F600", "x\U0001F600e\u0301\U0001F600y", 0),
+        ("e\u0301", "e", 1),      # a combining mark is its own character
+    ])
+    def test_edge_cases(self, needle, haystack, expected):
+        assert sellers_distance(needle, haystack) == expected
+        assert min_substring_distance(needle, haystack) == expected
+
+    @settings(max_examples=300)
+    @given(st.text(_ALPHABET, max_size=200), st.text(_ALPHABET, max_size=40))
+    def test_agrees_with_sellers(self, needle, haystack):
+        assert min_substring_distance(needle, haystack) == sellers_distance(needle, haystack)
+
+    @settings(max_examples=100)
+    @given(st.text(_ALPHABET, max_size=60), st.integers(0, 200), st.data())
+    def test_agrees_with_sellers_on_planted_needles(self, haystack, extra, data):
+        # a suffix of the haystack plus up to 200 characters: needles cross 30 and 64 bits
+        start = data.draw(st.integers(0, len(haystack)))
+        needle = haystack[start:] + data.draw(st.text(_ALPHABET, min_size=extra, max_size=extra))
+        assert min_substring_distance(needle, haystack) == sellers_distance(needle, haystack)
+
+    def test_agrees_with_sellers_at_word_boundaries(self):
+        rng = random.Random(20260418)
+        for m in (0, 1, 2, 29, 30, 31, 32, 33, 60, 63, 64, 65, 127, 128, 129, 200):
+            for _ in range(8):
+                haystack = "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 80)))
+                cut = rng.randint(0, len(haystack))
+                needle = haystack[cut:cut + m]
+                needle = "".join(c if rng.random() < 0.8 else rng.choice(_ALPHABET) for c in needle)
+                needle += "".join(rng.choice(_ALPHABET) for _ in range(m - len(needle)))
+                assert len(needle) == m
+                assert (min_substring_distance(needle, haystack)
+                        == sellers_distance(needle, haystack)), (needle, haystack)
 
 
 class TestReadSpanPredictions:
