@@ -33,6 +33,18 @@ class IcdCode:
     group: str
     subcode: str | None = None
 
+    def __post_init__(self) -> None:
+        # the generated dataclass hash, computed once: sets and Counters of
+        # codes hash every member on every operation
+        object.__setattr__(self, "_hash", hash((self.chapter, self.group, self.subcode)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # str hashes differ between processes, so a pickle must not carry _hash
+        return IcdCode, (self.chapter, self.group, self.subcode)
+
     def __str__(self) -> str:
         if self.subcode is None:
             return f"{self.chapter}{self.group}"

@@ -1,10 +1,17 @@
 """Dense dictionary retrieval and candidate export for an external reranker.
 
 The index holds one embedding per dictionary entry and answers exact
-Euclidean top-k queries; at dictionary scale (tens of thousands of
-entries) a full scan is fast, deterministic, and free of the recall
-noise an approximate structure would add. Ties are broken by the lower
-entry id so every ranking is reproducible.
+Euclidean top-k queries, ties broken by the lower entry id so every
+ranking is reproducible. A query costs one GEMV plus O(k·d): the
+expansion ‖x‖² − 2x·q + ‖q‖² (as in FAISS ``IndexFlatL2``), with the row
+norms computed once at build, gives every row an approximate squared
+distance in one matrix-vector product. Only rows within a proven
+rounding margin of the k-th smallest approximation, about k of them,
+are rescored with the direct ``Σ(x − q)²`` and ranked. The margin bounds
+the rounding error of both formulas, so the shortlist always holds the
+true top k, and ids, tie order and distance bits equal a full scan with
+the direct formula; an overflow makes the margin infinite, which
+degrades to that full scan.
 """
 
 from __future__ import annotations
@@ -63,6 +70,12 @@ class EmbeddingIndex:
         self.codes: tuple[IcdCode, ...] = tuple(codes)
         self.matrix = matrix
         self.matrix.setflags(write=False)
+        # for retrieve's shortlist; einsum makes no N×d temporary, and an
+        # overflow to inf here makes retrieve's margin infinite
+        with np.errstate(over="ignore"):
+            self.sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+        self.sq_norms.setflags(write=False)
+        self.max_norm = float(np.sqrt(self.sq_norms.max())) if len(matrix) else 0.0
 
     @property
     def dim(self) -> int:
@@ -88,7 +101,8 @@ def build_index(
     by_id: dict[int, Sequence[float]] = {}
     dim: int | None = None
     for entry_id, vector in pairs:
-        entry_id = int(entry_id)
+        if type(entry_id) is not int:
+            raise InvalidFormatError(f"vector id must be int, got {entry_id!r}")
         if entry_id < 0 or entry_id >= len(dictionary):
             raise InvalidFormatError(f"vector id {entry_id} has no dictionary entry")
         if entry_id in by_id:
@@ -125,12 +139,40 @@ def retrieve(
         raise DimensionMismatchError(f"query dim {q.shape} does not match index dim {index.dim}")
     if not np.isfinite(q).all():
         raise NonFiniteValueError("query contains non-finite values")
-    diff = index.matrix - q
+    if k < len(index):
+        # Shortlist by approx = ‖x‖² − 2x·q + ‖q‖², then rescore it exactly.
+        # Margin, with u = 2**-53, r = max‖x‖ + ‖q‖ and D the true squared
+        # distance: a sum of d terms, in any order (pairwise, blocked BLAS),
+        # is off by at most about d·u·Σ|term| (Higham 2002, §3.1).
+        # - approx: its three sums' |terms| add to at most r², and its two
+        #   additions each add u·r², so |approx − D| ≤ (d+2)·u·r².
+        # - exact, the direct Σ(x − q)²: one rounding per difference and per
+        #   square, then a sum of d non-negative terms: |exact − D| ≤ (d+2)·u·r².
+        # So |approx − exact| ≤ 2(d+2)·u·r²; eps takes c = 4, which covers
+        # second-order terms, r from rounded norms and the rounding of eps
+        # and thr. A product that underflows is also off by up to 2**-1075
+        # (sums that underflow are exact); a row's approx and exact take 5d
+        # products (2x·q counted twice), under the absolute 4(d+2)·2**-1074.
+        # The k rows with approx <= T have exact <= T + eps, so every row of
+        # the exact top k has approx <= T + 2·eps and is kept.
+        # Overflow: approx's intermediates stay near r², a quarter of (2r)²,
+        # so any overflow makes eps inf (or thr NaN), and ~(approx > thr)
+        # then keeps every row, NaN rows too: a full rescan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            qq = q @ q
+            approx = index.sq_norms - 2.0 * (index.matrix @ q) + qq
+            two_r = 2.0 * (index.max_norm + float(np.sqrt(qq)))
+            eps = (index.dim + 2) * (2.0**-53 * (two_r * two_r) + 2.0**-1072)
+            thr = np.partition(approx, k - 1)[k - 1] + 2.0 * eps
+            cand = np.flatnonzero(~(approx > thr))
+    else:
+        cand = np.arange(len(index))
+    diff = index.matrix[cand] - q
     dist_sq = (diff * diff).sum(axis=1)
-    # stable argsort keeps row (= entry id) order among exact ties
+    # cand ascends by entry id, so a stable argsort keeps id order among exact ties
     order = np.argsort(dist_sq, kind="stable")[:k]
     hits = tuple(
-        Hit(int(i), index.codes[int(i)], float(np.sqrt(dist_sq[int(i)])))
+        Hit(int(cand[i]), index.codes[cand[i]], float(np.sqrt(dist_sq[i])))
         for i in order
     )
     return RankedCandidates(query_id=query_id, hits=hits)
@@ -235,7 +277,9 @@ def import_selection(
         mention_id = selection["mention_id"]
         if mention_id not in by_mention:
             raise DataError(f"selection references unknown mention_id {mention_id!r}")
-        rank = int(selection["selected_rank"])
+        rank = selection["selected_rank"]
+        if type(rank) is not int:
+            raise InvalidFormatError(f"{mention_id}: selected_rank must be int, got {rank!r}")
         candidates = by_mention[mention_id]
         if rank < 1 or rank > len(candidates):
             raise SelectionOutOfRangeError(

@@ -1,5 +1,7 @@
 """Tests for ICD code parsing, truncation, and the dictionary."""
 
+import dataclasses
+import pickle
 import string
 
 import pytest
@@ -77,6 +79,23 @@ class TestParseCode:
     @given(code_strategy)
     def test_render_parse_round_trip(self, code):
         assert parse_code(str(code)) == code
+
+    def test_hash_equals_the_field_tuple_hash(self):
+        # set and Counter iteration order, and so every report, follow this hash
+        parsed = parse_code("H10")
+        truncated = truncate_to_group(parse_code("H10.3"))
+        assert parsed == truncated and parsed is not truncated
+        assert hash(parsed) == hash(truncated) == hash(("H", "10", None))
+        assert hash(parse_code("H10.3")) == hash(("H", "10", "3"))
+        assert [f.name for f in dataclasses.fields(IcdCode)] == ["chapter", "group", "subcode"]
+        assert repr(parsed) == "IcdCode(chapter='H', group='10', subcode=None)"
+
+    def test_pickle_recomputes_the_hash(self):
+        # str hashes differ between processes; a stale cached hash stands in
+        code = IcdCode("H", "10", "3")
+        object.__setattr__(code, "_hash", 12345)
+        loaded = pickle.loads(pickle.dumps(code))
+        assert loaded == code and hash(loaded) == hash(("H", "10", "3"))
 
     def test_lexicographic_ordering(self):
         codes = [parse_code(t) for t in ["H11", "H10.0", "H10", "E11.9"]]

@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,31 @@ def brute_force(vectors, query, k):
     return [(entry_id, math.sqrt(d2)) for d2, entry_id in scored[:k]]
 
 
+def scan_oracle(index, query, k):
+    """Reference for ``retrieve``: the full per-query scan its shortlist
+    replaced. Every row is scored with the direct formula, which the
+    shortlist's rescore repeats, so ids, tie order and distance bits must
+    match exactly."""
+    q = np.asarray(query, dtype=np.float64)
+    diff = index.matrix - q
+    dist_sq = (diff * diff).sum(axis=1)
+    order = np.argsort(dist_sq, kind="stable")[:k]
+    return [(int(i), float(np.sqrt(dist_sq[int(i)])).hex()) for i in order]
+
+
+def retrieved(index, query, k):
+    """``retrieve``'s hits as (id, distance bits); any RuntimeWarning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hits = retrieve(index, query, k).hits
+    return [(h.entry_id, h.distance.hex()) for h in hits]
+
+
+def code_index(rows):
+    codes = [IcdCode("A", f"{i % 100:02d}", None) for i in range(len(rows))]
+    return EmbeddingIndex(codes, np.array(rows, dtype=np.float64).reshape(len(rows), -1))
+
+
 # components are multiples of 1/8 so float arithmetic is exact and the
 # oracle comparison is meaningful down to the last bit
 dyadic = st.integers(-64, 64).map(lambda n: n / 8.0)
@@ -80,6 +107,13 @@ class TestBuildIndex:
     def test_unknown_vector_id(self):
         with pytest.raises(InvalidFormatError, match="no dictionary entry"):
             build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0], 7: [2.0]})
+
+    @pytest.mark.parametrize("bad_id", [0.7, True, "0"])
+    def test_vector_id_must_be_int(self, bad_id):
+        # 0.7 and "0" would coerce to entry 0, True to entry 1
+        other = 1 if bad_id is not True else 0
+        with pytest.raises(InvalidFormatError, match="vector id must be int"):
+            build_index(tiny_dictionary(2), [(bad_id, [1.0, 2.0]), (other, [0.0, 0.0])])
 
     def test_index_matrix_read_only(self):
         index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]})
@@ -147,6 +181,121 @@ class TestRetrieve:
         index = build_index(load_dictionary(rows), dict(enumerate(vectors)))
         cands = retrieve(index, query, k)
         assert [(h.entry_id, h.distance) for h in cands.hits] == brute_force(vectors, query, k)
+
+
+class TestShortlistMatchesScan:
+    """``retrieve`` against ``scan_oracle`` on values where rounding matters.
+
+    Non-dyadic components round differently in ‖x‖² − 2x·q + ‖q‖² and in
+    Σ(x − q)², so a shortlist margin that is too small, or that drops NaN
+    rows, changes ids or order here; dyadic test data would hide it.
+    """
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 6),
+        st.floats(-1e6, 1e6),
+        st.data(),
+    )
+    def test_non_dyadic_rows_around_an_offset(self, dim, offset, data):
+        # a far offset makes ‖x‖² ≫ distance², the worst case for the expansion
+        comps = st.floats(-1.0, 1.0).map(lambda x: offset + x / 3.0)
+        rows = data.draw(st.lists(st.lists(comps, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=25))
+        query = data.draw(st.lists(comps, min_size=dim, max_size=dim))
+        k = data.draw(st.integers(1, len(rows) + 2))
+        index = code_index(rows)
+        assert retrieved(index, query, k) == scan_oracle(index, query, k)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rows_ulps_apart_with_duplicates(self, seed):
+        rng = random.Random(seed)
+        dim = rng.choice([1, 2, 3, 8, 64, 768])
+        center = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 6) for _ in range(dim)]
+        rows = []
+        for _ in range(rng.randint(2, 40)):
+            row = list(center)
+            for j in rng.sample(range(dim), min(dim, 3)):
+                for _ in range(rng.randint(0, 2)):
+                    row[j] = math.nextafter(row[j], rng.choice([math.inf, -math.inf]))
+            rows.append(row)
+        rows += [list(rows[rng.randrange(len(rows))]) for _ in range(rng.randint(1, 5))]
+        rng.shuffle(rows)
+        query = [math.nextafter(c, rng.choice([math.inf, -math.inf])) for c in center]
+        index = code_index(rows)
+        for k in (1, 2, rng.randint(1, len(rows)), len(rows)):
+            assert retrieved(index, query, k) == scan_oracle(index, query, k)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_query_equal_to_a_duplicated_row(self, seed):
+        rng = random.Random(seed)
+        rows = [[rng.gauss(0, 1) for _ in range(5)] for _ in range(30)]
+        rows[7] = rows[19] = rows[23] = list(rows[rng.randrange(30)])
+        index = code_index(rows)
+        got = retrieved(index, rows[19], 3)
+        assert got == scan_oracle(index, rows[19], 3)
+        assert got[0][1] == got[1][1] == (0.0).hex()
+        # exact duplicates tie, and the lower entry id ranks first
+        assert [i for i, _ in got] == sorted(i for i, _ in got)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_underflowing_components(self, seed):
+        rng = random.Random(seed)
+        dim = rng.choice([1, 3, 16])
+        scale = 10.0 ** rng.uniform(-163, -155)
+        center = [rng.uniform(-1, 1) * scale for _ in range(dim)]
+        # rows clustered round the query differ by amounts whose squares
+        # round to a few subnormal units or to zero, in both formulas
+        near = [[c * (1 + rng.uniform(-1, 1) * 10.0 ** rng.uniform(-4, -1)) for c in center]
+                for _ in range(rng.randint(2, 20))]
+        far = [[rng.uniform(-1, 1) * scale for _ in range(dim)] for _ in range(rng.randint(0, 10))]
+        rows = near + far + [list(near[0]), [math.nextafter(x, 0.0) for x in near[0]]]
+        rng.shuffle(rows)
+        query = center
+        index = code_index(rows)
+        for k in (1, 3, len(rows) - 1):
+            assert retrieved(index, query, k) == scan_oracle(index, query, k)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shared_huge_component(self, seed):
+        # every 2x·q overflows, so approx is -inf or NaN on every row, yet no
+        # distance does; the shortlist must fall back to the full scan
+        rng = random.Random(seed)
+        big = rng.uniform(1, 9) * 10.0 ** rng.randint(154, 200)
+        rows = [[big] + [rng.gauss(0, 1) for _ in range(4)] for _ in range(rng.randint(2, 30))]
+        query = [big] + [rng.gauss(0, 1) for _ in range(4)]
+        index = code_index(rows)
+        for k in (1, 2, len(rows) - 1):
+            assert retrieved(index, query, k) == scan_oracle(index, query, k)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_norms_near_overflow(self, seed):
+        # the expansion overflows to +inf, -inf or NaN on some rows while
+        # every direct distance stays finite (at most 2·a² < 1.8e308)
+        rng = random.Random(seed)
+        a = rng.uniform(0.8, 0.94) * 1e154
+
+        def vector():
+            big = [rng.choice([0.0, a / 2, a]) * (1 + rng.uniform(-1e-9, 1e-9)) for _ in range(2)]
+            return big + [rng.gauss(0, 1) for _ in range(3)]
+
+        rows = [vector() for _ in range(rng.randint(2, 30))]
+        query = vector()
+        index = code_index(rows)
+        for k in (1, 2, len(rows) - 1):
+            assert retrieved(index, query, k) == scan_oracle(index, query, k)
+
+    def test_k_at_least_n_and_one_row(self):
+        rows = [[0.1, 0.7], [0.3, -0.2], [0.1, 0.7]]
+        index = code_index(rows)
+        for k in (3, 4, 100):
+            assert retrieved(index, [0.2, 0.2], k) == scan_oracle(index, [0.2, 0.2], k)
+        one = code_index([[0.1, 0.7]])
+        assert retrieved(one, [0.2, 0.2], 1) == scan_oracle(one, [0.2, 0.2], 1)
+
+    def test_empty_index(self):
+        index = build_index(load_dictionary([]), {})
+        assert retrieved(index, [0.5], 1) == scan_oracle(index, [0.5], 1) == []
 
 
 def ranked(codes, query_id="q"):
@@ -252,7 +401,7 @@ class TestEmbeddingFiles:
 
 class TestDictionaryScale:
     def test_full_scan_fast_at_production_size(self):
-        # the design bet: an exact scan over a real-size dictionary is cheap
+        # the design bet: exact top-k over a real-size dictionary is cheap
         import time
 
         n, dim = 17_762, 64
@@ -294,6 +443,11 @@ class TestCandidateExport:
     def test_selection_below_one(self):
         with pytest.raises(SelectionOutOfRangeError):
             import_selection([self.record], [{"mention_id": "m1", "selected_rank": 0}])
+
+    @pytest.mark.parametrize("bad_rank", ["2", 2.0, True])
+    def test_selected_rank_must_be_int(self, bad_rank):
+        with pytest.raises(InvalidFormatError, match="selected_rank must be int"):
+            import_selection([self.record], [{"mention_id": "m1", "selected_rank": bad_rank}])
 
     def test_unknown_mention(self):
         with pytest.raises(DataError):
