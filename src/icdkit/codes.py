@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from icdkit.errors import EmptyInputError, InvalidFormatError
+from icdkit.jsonl import read_lines
 
 _CODE_RE = re.compile(r"^([A-Z])(\d{2})(?:\.(\d{1,2}))?$")
 _WS_RE = re.compile(r"\s+")
@@ -177,23 +178,17 @@ def read_dictionary_tsv(path: str | Path) -> list[tuple[str, str]]:
     """Read ``CODE<TAB>NAME`` rows from a UTF-8 TSV file.
 
     Lines starting with ``#`` and blank lines are ignored. A line without
-    a tab raises :class:`InvalidFormatError` with the file line number.
+    a tab or a valid code raises :class:`InvalidFormatError` at ``path:line``.
     """
-    rows: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if "\t" not in line:
-                raise InvalidFormatError(f"{path}:{lineno}: expected CODE<TAB>NAME")
-            code_text, name_text = line.split("\t", 1)
-            try:
-                parse_code(code_text)
-            except InvalidFormatError as exc:
-                raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((code_text, name_text))
-    return rows
+
+    def row(line: str) -> tuple[str, str]:
+        code_text, tab, name_text = line.rstrip("\n").partition("\t")
+        if not tab:
+            raise InvalidFormatError("expected CODE<TAB>NAME")
+        parse_code(code_text)
+        return code_text, name_text
+
+    return list(read_lines(path, row, comments=True))
 
 
 def load_dictionary_tsv(path: str | Path) -> IcdDictionary:

@@ -59,7 +59,7 @@ class AnnotatedDocument:
         return [code for _, code in self.entities]
 
 
-def parse_brat(text: str, ann: str, doc_id: str = "") -> AnnotatedDocument:
+def parse_brat(text: str, ann: str, doc_id: str = "", ann_path: str | Path = "ann") -> AnnotatedDocument:
     """Parse a BRAT standoff pair (document text, annotation content).
 
     Yields one entity per ``N`` line; ``T`` lines without any reference
@@ -69,43 +69,44 @@ def parse_brat(text: str, ann: str, doc_id: str = "") -> AnnotatedDocument:
     Raises :class:`OffsetMismatchError` when a recorded surface disagrees
     with the text slice, :class:`DanglingReferenceError` when an ``N``
     line points at a missing span, and :class:`BadCodeError` for codes
-    that do not parse.
+    that do not parse; each message begins ``ann_path:line``.
     """
     spans: dict[str, Span] = {}
     order: dict[str, int] = {}
     entities: list[tuple[int, int, Span, IcdCode]] = []
-    for lineno, line in enumerate(ann.splitlines(), start=1):
+    # read_lines' line breaks; str.splitlines would also split a surface at \x0c, \x85...
+    for lineno, line in enumerate(ann.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         if not line.strip():
             continue
         kind = line[0]
         if kind == "T":
             m = _T_LINE_RE.match(line)
             if m is None:
-                raise InvalidFormatError(f"ann line {lineno}: malformed T line: {line!r}")
+                raise InvalidFormatError(f"{ann_path}:{lineno}: malformed T line: {line!r}")
             tid, _label, start_text, end_text, surface = m.groups()
             start, end = int(start_text), int(end_text)
             if not (0 <= start < end <= len(text)):
                 raise OffsetMismatchError(
-                    f"ann line {lineno}: span [{start}, {end}) outside document of length {len(text)}"
+                    f"{ann_path}:{lineno}: span [{start}, {end}) outside document of length {len(text)}"
                 )
             slice_ = text[start:end]
             if slice_ != surface:
                 raise OffsetMismatchError(
-                    f"ann line {lineno}: surface {surface!r} != text slice {slice_!r}"
+                    f"{ann_path}:{lineno}: surface {surface!r} != text slice {slice_!r}"
                 )
             spans[tid] = Span(start, end, surface)
             order[tid] = lineno
         elif kind == "N":
             m = _N_LINE_RE.match(line)
             if m is None:
-                raise InvalidFormatError(f"ann line {lineno}: malformed N line: {line!r}")
+                raise InvalidFormatError(f"{ann_path}:{lineno}: malformed N line: {line!r}")
             _nid, _reftype, tid, _resource, code_text, _name = m.groups()
             if tid not in spans:
-                raise DanglingReferenceError(f"ann line {lineno}: reference to missing {tid}")
+                raise DanglingReferenceError(f"{ann_path}:{lineno}: reference to missing {tid}")
             try:
                 code = parse_code(code_text)
             except InvalidFormatError as exc:
-                raise BadCodeError(f"ann line {lineno}: {exc}") from exc
+                raise BadCodeError(f"{ann_path}:{lineno}: {exc}") from exc
             entities.append((order[tid], lineno, spans[tid], code))
     entities.sort(key=lambda item: (item[0], item[1]))
     return AnnotatedDocument(doc_id, text, tuple((span, code) for _, _, span, code in entities))
@@ -113,11 +114,11 @@ def parse_brat(text: str, ann: str, doc_id: str = "") -> AnnotatedDocument:
 
 def parse_brat_file(txt_path: str | Path, ann_path: str | Path) -> AnnotatedDocument:
     txt_path = Path(txt_path)
-    # no newline translation: BRAT offsets count every \r of a CRLF text
+    # no newline translation or BOM removal: BRAT offsets count every \r and a U+FEFF
     with open(txt_path, encoding="utf-8", newline="") as handle:
         text = handle.read()
-    ann = Path(ann_path).read_text(encoding="utf-8")
-    return parse_brat(text, ann, doc_id=txt_path.stem)
+    ann = Path(ann_path).read_text(encoding="utf-8-sig")
+    return parse_brat(text, ann, doc_id=txt_path.stem, ann_path=ann_path)
 
 
 def read_corpus_dir(corpus_dir: str | Path) -> list[AnnotatedDocument]:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import read_jsonl, typed_field
+from icdkit.jsonl import read_jsonl, read_lines, typed_field
 from icdkit.metrics import ConfusionCounts, sum_counts
 
 
@@ -215,20 +215,16 @@ def read_records_jsonl(path: str | Path) -> list[MultiLabelRecord]:
 def read_training_counts_tsv(path: str | Path) -> dict[IcdCode, int]:
     """Read ``CODE<TAB>COUNT`` rows; ``#`` comments and blanks are skipped."""
     counts: dict[IcdCode, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise InvalidFormatError(f"{path}:{lineno}: expected CODE<TAB>COUNT")
-            try:
-                code = parse_code(parts[0])
-                count = int(parts[1])
-            except (InvalidFormatError, ValueError) as exc:
-                raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
-            if count < 0:
-                raise InvalidFormatError(f"{path}:{lineno}: negative count")
-            counts[code] = counts.get(code, 0) + count
+
+    def add_row(line: str) -> None:
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2:
+            raise InvalidFormatError("expected CODE<TAB>COUNT")
+        code, count = parse_code(parts[0]), int(parts[1])
+        if count < 0:
+            raise InvalidFormatError("negative count")
+        counts[code] = counts.get(code, 0) + count
+
+    for _ in read_lines(path, add_row, comments=True):
+        pass
     return counts

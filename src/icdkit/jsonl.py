@@ -1,4 +1,4 @@
-"""Reading and writing the JSON-lines files that pipeline stages exchange."""
+"""The one reader of JSONL and TSV line files, and the JSONL writer."""
 
 from __future__ import annotations
 
@@ -11,24 +11,30 @@ from icdkit.errors import InvalidFormatError
 T = TypeVar("T")
 
 
-def read_jsonl(path: str | Path, row_fn: Callable[[Any], T]) -> Iterator[T]:
-    """Yield ``row_fn(json.loads(line))`` for each non-blank line of a UTF-8 file.
+def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool = False) -> Iterator[T]:
+    """Yield ``row_fn(line)`` for each non-blank line of a UTF-8 file.
 
-    Rows are decoded one at a time; only what ``row_fn`` returns is kept. A
-    ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError`` raised
-    while decoding or shaping a row becomes :class:`InvalidFormatError`
-    prefixed ``path:line``, so checks across rows, such as duplicate ids,
-    belong in ``row_fn``.
+    One leading BOM is dropped; a line ends at CRLF, CR or LF and reaches
+    ``row_fn`` with that break as ``\\n``. ``comments`` (TSV) skips ``#`` lines.
+    A ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError`` from
+    ``row_fn`` becomes :class:`InvalidFormatError` prefixed ``path:line``, so
+    checks across rows, such as duplicate ids, belong in ``row_fn``.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            # isspace, not strip, so a 9 KB embedding row is never copied
+            if line.isspace() or comments and line.lstrip().startswith("#"):
                 continue
             try:
-                value = row_fn(json.loads(line))
+                value = row_fn(line)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
             yield value
+
+
+def read_jsonl(path: str | Path, row_fn: Callable[[Any], T]) -> Iterator[T]:
+    """Yield ``row_fn(json.loads(line))`` for each line :func:`read_lines` frames."""
+    return read_lines(path, lambda line: row_fn(json.loads(line)))
 
 
 def typed_field(row: dict, key: str, kind: type[T]) -> T:

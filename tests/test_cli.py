@@ -454,6 +454,34 @@ class TestMalformedRows:
         assert f"{paths[bad_key].resolve()}:1:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["parse", "stats", "eval-ner"])
+    @pytest.mark.parametrize("ann, lineno, message", [
+        ("T1\tDisease 0 6\tанемия\nN1\tReference T1 ICD10:XX\tx\n", 2,
+         "not an ICD-10 code: 'XX'"),
+        ("T1\tDisease 0 6\tанемия\nN1\tReference T9 ICD10:J00\tx\n", 2, "reference to missing T9"),
+        ("T1\tDisease 0 6\tанемия\nT2\tDisease 0 3\txyz\n", 2, "surface 'xyz' != text slice 'ане'"),
+        ("T1\tDisease 0 6\tанемия\r\n\r\nT2\tDisease 0 99\tx\r\n", 3,
+         "span [0, 99) outside document of length 6"),
+        ("T1\tDisease 0 6\tанемия\rT2\tDisease x 3\tане\r", 2, "malformed T line"),
+        ("\ufeffT1\tDisease 0 6\tанемия\nN1\tReference T1 ICD10:J00\tx\nN2\tReference T2", 3,
+         "malformed N line"),
+    ], ids=["bad-code", "dangling", "surface", "crlf-outside", "cr-malformed-t", "bom-malformed-n"])
+    def test_bad_ann_exits_3_naming_file_line(self, tmp_path, capsys, command, ann, lineno,
+                                               message):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for doc_id in ("d0", "d1"):
+            (corpus / f"{doc_id}.txt").write_text("анемия", encoding="utf-8")
+        (corpus / "d0.ann").write_text("T1\tDisease 0 6\tанемия\nN1\tReference T1 ICD10:D50.9\tx\n",
+                                       encoding="utf-8")
+        (corpus / "d1.ann").write_bytes(ann.encode("utf-8"))
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text('{"doc_id": "d0", "spans": []}\n', encoding="utf-8")
+        paths = {"output_dir": tmp_path / "out", "corpus_dir": corpus, "predictions": predictions}
+        assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 3
+        assert f"{(corpus / 'd1.ann').resolve()}:{lineno}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path, capsys):

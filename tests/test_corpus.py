@@ -109,8 +109,15 @@ class TestParseBrat:
         assert len(doc.entities) == 1
 
     def test_malformed_t_line(self):
-        with pytest.raises(InvalidFormatError, match="line 1"):
+        with pytest.raises(InvalidFormatError, match="^ann:1: malformed T line"):
             parse_brat(TEXT, "T1\tDisease zero 7\tанемия-\n")
+
+    @pytest.mark.parametrize("line_break", ["\r\n", "\r"])
+    def test_crlf_and_cr_ann(self, line_break):
+        ann = ANN.replace("\n", line_break) + "T2\tDisease 8 99\tx" + line_break
+        with pytest.raises(OffsetMismatchError, match="^ann:3: span"):
+            parse_brat(TEXT, ann)
+        assert parse_brat(TEXT, ANN.replace("\n", line_break)) == parse_brat(TEXT, ANN)
 
     def test_reads_fixture_corpus(self, corpus_dir):
         docs = read_corpus_dir(corpus_dir)
@@ -128,8 +135,25 @@ class TestParseBrat:
         assert (span.start, span.end, str(code)) == (3, 9, "D50.9")
         assert doc.text[span.start:span.end] == span.surface == "анемия"
 
+    @pytest.mark.parametrize("ann, error", [
+        ("T1\tDisease 0 7\tанемия-\nN1\tReference T1 ICD10:XX\tx\n", BadCodeError),
+        ("T1\tDisease 0 7\tанемия-\nN1\tReference T9 ICD10:J00\tx\n", DanglingReferenceError),
+        ("T1\tDisease 0 7\tанемия-\nT2\tDisease 0 7\tанемия+\n", OffsetMismatchError),
+        ("T1\tDisease 0 7\tанемия-\nN1\tReference\n", InvalidFormatError),
+    ], ids=["bad-code", "dangling", "surface", "malformed-n"])
+    def test_errors_name_ann_file_and_line(self, tmp_path, ann, error):
+        for doc_id in ("d0", "d1"):
+            (tmp_path / f"{doc_id}.txt").write_text(TEXT, encoding="utf-8")
+        (tmp_path / "d0.ann").write_text(ANN, encoding="utf-8")
+        (tmp_path / "d1.ann").write_text(ann, encoding="utf-8")
+        with pytest.raises(error) as caught:
+            read_corpus_dir(tmp_path)
+        assert type(caught.value) is error
+        assert str(caught.value).startswith(f"{tmp_path / 'd1.ann'}:2: ")
 
-entity_text = st.text(alphabet="абвгде xyz", min_size=1, max_size=30)
+
+# \x0c, \x85 and \u2028 end a line for str.splitlines but not for BRAT
+entity_text = st.text(alphabet="абвгде xyz\x0c\x85\u2028", min_size=1, max_size=30)
 
 
 @st.composite
