@@ -41,7 +41,7 @@ from icdkit.diagnosis import (
     restrict,
     weighted_f1,
 )
-from icdkit.errors import ConfigError, DataError, IcdkitError
+from icdkit.errors import ConfigError, DataError, IcdkitError, InvalidFormatError
 from icdkit.jsonl import dump_jsonl, read_jsonl, typed_field
 from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
@@ -171,6 +171,20 @@ def _selection_row(row: dict) -> dict:
             "selected_rank": typed_field(row, "selected_rank", int)}
 
 
+def _read_mentions(path: Path, row_fn: Callable[[dict], dict]) -> list[dict]:
+    """Rows of a queries, candidates or selection file; a mention_id appears once."""
+    seen: set[str] = set()
+
+    def row(raw: dict) -> dict:
+        value = row_fn(raw)
+        if value["mention_id"] in seen:
+            raise InvalidFormatError(f"duplicate mention_id {value['mention_id']!r}")
+        seen.add(value["mention_id"])
+        return value
+
+    return list(read_jsonl(path, row))
+
+
 def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
     docs = read_corpus_dir(config.path("corpus_dir"))
     parsed_rows = []
@@ -198,9 +212,18 @@ def cmd_stats(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
-    records = list(read_jsonl(config.path("annotator_sets"),
-                              lambda row: [frozenset(map(parse_code, codes))
-                                           for codes in row["annotators"]]))
+    records: list[list[frozenset]] = []
+
+    def add_row(row: dict) -> None:
+        sets = [frozenset(map(parse_code, codes)) for codes in row["annotators"]]
+        if len(sets) < 2:
+            raise InvalidFormatError("agreement needs at least two annotators")
+        if records and len(sets) != len(records[0]):
+            raise InvalidFormatError(f"expected {len(records[0])} annotators, got {len(sets)}")
+        records.append(sets)
+
+    for _ in read_jsonl(config.path("annotator_sets"), add_row):
+        pass
     ratio = iaa_ratio(records, quorum=config.options.quorum,
                       per_record_mean=config.options.per_record_mean)
     jaccard = pairwise_jaccard(records)
@@ -228,7 +251,7 @@ def cmd_index(config: RunConfig) -> tuple[dict, dict[str, str]]:
 def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[dict], list]:
     from icdkit.retrieval import retrieve
     dictionary, index = _load_index(config)
-    queries = list(read_jsonl(config.path("queries"), _query_row))
+    queries = _read_mentions(config.path("queries"), _query_row)
     ranked = [
         retrieve(index, query["vector"], config.options.k, query_id=query["mention_id"])
         for query in queries
@@ -263,11 +286,12 @@ def cmd_retrieve(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 def cmd_eval_ner(config: RunConfig) -> tuple[dict, dict[str, str]]:
     docs = read_corpus_dir(config.path("corpus_dir"))
-    predictions = read_span_predictions(config.path("predictions"))
+    predictions_path = config.path("predictions")
+    predictions = read_span_predictions(predictions_path)
     known = {doc.doc_id for doc in docs}
     unknown = sorted(set(predictions) - known)
     if unknown:
-        raise DataError(f"predictions reference unknown doc_ids: {unknown[:5]}")
+        raise DataError(f"{predictions_path}: predictions reference unknown doc_ids: {unknown[:5]}")
     per_doc = []
     missing = 0
     for doc in docs:
@@ -285,10 +309,11 @@ def cmd_eval_ner(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 def cmd_eval_coding(config: RunConfig) -> tuple[dict, dict[str, str]]:
     gold = read_code_predictions(config.path("gold"))
-    predictions = read_code_predictions(config.path("predictions"))
+    predictions_path = config.path("predictions")
+    predictions = read_code_predictions(predictions_path)
     unknown = sorted(set(predictions) - set(gold))
     if unknown:
-        raise DataError(f"predictions reference unknown doc_ids: {unknown[:5]}")
+        raise DataError(f"{predictions_path}: predictions reference unknown doc_ids: {unknown[:5]}")
     reports = evaluate_coding(predictions, gold)
     results = {
         "n_docs": len(gold),
@@ -347,13 +372,13 @@ def cmd_export_candidates(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 def cmd_import_selection(config: RunConfig) -> tuple[dict, dict[str, str]]:
     from icdkit.retrieval import baseline_selection, import_selection
-    candidate_records = list(read_jsonl(config.path("candidates"), _candidate_row))
+    candidate_records = _read_mentions(config.path("candidates"), _candidate_row)
     selection_path = config.path("selection", required=False)
     baseline = selection_path is None
     if baseline:
         selections = baseline_selection(candidate_records)
     else:
-        selections = list(read_jsonl(selection_path, _selection_row))
+        selections = _read_mentions(selection_path, _selection_row)
     resolved = import_selection(candidate_records, selections)
     rows = [{"mention_id": mention_id, "code": str(code)}
             for mention_id, code in resolved.items()]

@@ -9,6 +9,7 @@ Cyrillic text.
 
 from __future__ import annotations
 
+import io
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from icdkit.errors import (
     OffsetMismatchError,
     QuorumTooLowError,
 )
+from icdkit.jsonl import frame_lines, read_text
 
 _T_LINE_RE = re.compile(r"^(T\d+)\t(\S+) (\d+) (\d+)\t(.*)$")
 _N_LINE_RE = re.compile(r"^(N\d+)\t(\S+) (T\d+) ([^:\t]+):(\S+)(?:\t(.*))?$")
@@ -62,63 +64,52 @@ class AnnotatedDocument:
 def parse_brat(text: str, ann: str, doc_id: str = "", ann_path: str | Path = "ann") -> AnnotatedDocument:
     """Parse a BRAT standoff pair (document text, annotation content).
 
-    Yields one entity per ``N`` line; ``T`` lines without any reference
-    are dropped, and a ``T`` line with several references produces one
-    entity per reference so the multiplicity stays visible to the caller.
+    One entity per ``N`` line, in ``T``-line then ``N``-line order. A ``T``
+    line without a reference is dropped; one with several references yields
+    an entity per reference, so the multiplicity stays visible to the caller.
 
     Raises :class:`OffsetMismatchError` when a recorded surface disagrees
     with the text slice, :class:`DanglingReferenceError` when an ``N``
-    line points at a missing span, and :class:`BadCodeError` for codes
-    that do not parse; each message begins ``ann_path:line``.
+    line points at a missing span, :class:`BadCodeError` for codes that
+    do not parse, and :class:`InvalidFormatError` for a malformed line or
+    a repeated ``T`` id; each message begins ``ann_path:line``.
     """
-    spans: dict[str, Span] = {}
-    order: dict[str, int] = {}
-    entities: list[tuple[int, int, Span, IcdCode]] = []
-    # read_lines' line breaks; str.splitlines would also split a surface at \x0c, \x85...
-    for lineno, line in enumerate(ann.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
-        if not line.strip():
-            continue
+    links: dict[str, tuple[Span, list[IcdCode]]] = {}
+
+    def row(line: str) -> None:
+        line = line.rstrip("\n")
         kind = line[0]
         if kind == "T":
             m = _T_LINE_RE.match(line)
             if m is None:
-                raise InvalidFormatError(f"{ann_path}:{lineno}: malformed T line: {line!r}")
+                raise InvalidFormatError(f"malformed T line: {line!r}")
             tid, _label, start_text, end_text, surface = m.groups()
+            if tid in links:
+                raise InvalidFormatError(f"duplicate {tid}")
             start, end = int(start_text), int(end_text)
             if not (0 <= start < end <= len(text)):
-                raise OffsetMismatchError(
-                    f"{ann_path}:{lineno}: span [{start}, {end}) outside document of length {len(text)}"
-                )
-            slice_ = text[start:end]
-            if slice_ != surface:
-                raise OffsetMismatchError(
-                    f"{ann_path}:{lineno}: surface {surface!r} != text slice {slice_!r}"
-                )
-            spans[tid] = Span(start, end, surface)
-            order[tid] = lineno
+                raise OffsetMismatchError(f"span [{start}, {end}) outside document of length {len(text)}")
+            if text[start:end] != surface:
+                raise OffsetMismatchError(f"surface {surface!r} != text slice {text[start:end]!r}")
+            links[tid] = (Span(start, end, surface), [])
         elif kind == "N":
             m = _N_LINE_RE.match(line)
             if m is None:
-                raise InvalidFormatError(f"{ann_path}:{lineno}: malformed N line: {line!r}")
+                raise InvalidFormatError(f"malformed N line: {line!r}")
             _nid, _reftype, tid, _resource, code_text, _name = m.groups()
-            if tid not in spans:
-                raise DanglingReferenceError(f"{ann_path}:{lineno}: reference to missing {tid}")
+            if tid not in links:
+                raise DanglingReferenceError(f"reference to missing {tid}")
             try:
                 code = parse_code(code_text)
             except InvalidFormatError as exc:
-                raise BadCodeError(f"{ann_path}:{lineno}: {exc}") from exc
-            entities.append((order[tid], lineno, spans[tid], code))
-    entities.sort(key=lambda item: (item[0], item[1]))
-    return AnnotatedDocument(doc_id, text, tuple((span, code) for _, _, span, code in entities))
+                raise BadCodeError(str(exc)) from exc
+            links[tid][1].append(code)
 
-
-def parse_brat_file(txt_path: str | Path, ann_path: str | Path) -> AnnotatedDocument:
-    txt_path = Path(txt_path)
-    # no newline translation or BOM removal: BRAT offsets count every \r and a U+FEFF
-    with open(txt_path, encoding="utf-8", newline="") as handle:
-        text = handle.read()
-    ann = Path(ann_path).read_text(encoding="utf-8-sig")
-    return parse_brat(text, ann, doc_id=txt_path.stem, ann_path=ann_path)
+    # newline=None splits at CRLF, CR and LF only, as read_lines does
+    for _ in frame_lines(io.StringIO(ann, newline=None), ann_path, row):
+        pass
+    return AnnotatedDocument(doc_id, text, tuple((span, code) for span, codes in links.values()
+                                                 for code in codes))
 
 
 def read_corpus_dir(corpus_dir: str | Path) -> list[AnnotatedDocument]:
@@ -129,7 +120,9 @@ def read_corpus_dir(corpus_dir: str | Path) -> list[AnnotatedDocument]:
         ann_path = txt_path.with_suffix(".ann")
         if not ann_path.exists():
             raise InvalidFormatError(f"missing annotation file for {txt_path.name}")
-        docs.append(parse_brat_file(txt_path, ann_path))
+        # no newline translation or BOM removal: BRAT offsets count every \r and a U+FEFF
+        text = read_text(txt_path, encoding="utf-8", newline="")
+        docs.append(parse_brat(text, read_text(ann_path), txt_path.stem, ann_path))
     return docs
 
 

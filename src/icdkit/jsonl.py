@@ -1,4 +1,4 @@
-"""The one reader of JSONL and TSV line files, and the JSONL writer."""
+"""The one reader of JSONL, TSV and BRAT ``.ann`` line files, and the JSONL writer."""
 
 from __future__ import annotations
 
@@ -6,30 +6,62 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from icdkit.errors import InvalidFormatError
+from icdkit.errors import IcdkitError, InvalidFormatError
 
 T = TypeVar("T")
 
 
-def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool = False) -> Iterator[T]:
-    """Yield ``row_fn(line)`` for each non-blank line of a UTF-8 file.
+def frame_lines(lines: Iterable[str], where: str | Path, row_fn: Callable[[str], T],
+                comments: bool = False) -> Iterator[T]:
+    """Yield ``row_fn(line)`` for each non-blank line, skipping ``#`` lines if
+    ``comments`` (TSV). An :class:`IcdkitError` from ``row_fn`` keeps its class
+    and gains the prefix ``where:line``; a ``KeyError``, ``TypeError``,
+    ``ValueError``, ``OverflowError`` or ``RecursionError`` becomes
+    :class:`InvalidFormatError` with it, so checks across rows belong in ``row_fn``."""
+    for lineno, line in enumerate(lines, start=1):
+        # isspace, not strip, so a 9 KB embedding row is never copied
+        if line.isspace() or comments and line.lstrip().startswith("#"):
+            continue
+        try:
+            value = row_fn(line)
+        except IcdkitError as exc:
+            raise type(exc)(f"{where}:{lineno}: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise InvalidFormatError(f"{where}:{lineno}: {exc}") from exc
+        yield value
 
-    One leading BOM is dropped; a line ends at CRLF, CR or LF and reaches
-    ``row_fn`` with that break as ``\\n``. ``comments`` (TSV) skips ``#`` lines.
-    A ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError`` from
-    ``row_fn`` becomes :class:`InvalidFormatError` prefixed ``path:line``, so
-    checks across rows, such as duplicate ids, belong in ``row_fn``.
-    """
+
+def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool = False) -> Iterator[T]:
+    """:func:`frame_lines` over a UTF-8 file whose one leading BOM is dropped;
+    a line ends at CRLF, CR or LF and reaches ``row_fn`` with that break as ``\\n``."""
     with open(path, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            # isspace, not strip, so a 9 KB embedding row is never copied
-            if line.isspace() or comments and line.lstrip().startswith("#"):
-                continue
-            try:
-                value = row_fn(line)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise InvalidFormatError(f"{path}:{lineno}: {exc}") from exc
-            yield value
+        try:
+            yield from frame_lines(handle, path, row_fn, comments)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
+
+
+def read_text(path: str | Path, encoding: str = "utf-8-sig", newline: str | None = None) -> str:
+    """The whole of a UTF-8 file, with ``open``'s ``encoding`` and ``newline``;
+    bytes that are not UTF-8 are located like :func:`read_lines`' errors."""
+    try:
+        with open(path, encoding=encoding, newline=newline) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
+
+
+def _not_utf8(path: str | Path) -> InvalidFormatError:
+    # decoded again whole: the stream decoder's offsets count from its 8 KB chunk
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        return InvalidFormatError(f"{path}:{lineno}: not UTF-8: {exc.reason} "
+                                  f"(byte 0x{data[exc.start]:02x} at offset {exc.start})")
+    return InvalidFormatError(f"{path}: not UTF-8")
 
 
 def read_jsonl(path: str | Path, row_fn: Callable[[Any], T]) -> Iterator[T]:

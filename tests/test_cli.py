@@ -130,7 +130,13 @@ class TestParseAndEvalCoding:
         cfg = write_config(tmp_path / "cfg.json",
                            {"gold": gold, "predictions": preds, "output_dir": out})
         assert run_cli("eval-coding", cfg) == 3
-        assert "unknown doc_ids" in capsys.readouterr().err
+        assert f"{preds.resolve()}: predictions reference unknown doc_ids" in capsys.readouterr().err
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text('{"doc_id": "other", "spans": []}\n', encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"corpus_dir": corpus_dir, "predictions": spans, "output_dir": out})
+        assert run_cli("eval-ner", cfg) == 3
+        assert f"{spans.resolve()}: predictions reference unknown doc_ids" in capsys.readouterr().err
 
 
 class TestRetrievalCommands:
@@ -388,7 +394,8 @@ class TestMalformedRows:
         assert f"{paths[bad_key].resolve()}:1:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    # raw lines, since json.dumps cannot write 1e400 or a 400-digit float
+    # raw lines, since json.dumps cannot write 1e400 or a 400-digit float; bytes are
+    # written as they are; the last line of the bad input is the one its error names
     @pytest.mark.parametrize("command, bad_key, line", [
         ("retrieve", "embeddings", '{"id": 0, "vector": "12"}'),
         ("retrieve", "embeddings", '{"id": 0, "vector": 5}'),
@@ -419,13 +426,30 @@ class TestMalformedRows:
         ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": "1"}'),
         ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": 1.9}'),
         ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": true}'),
+        ("stats", "d1.txt", "анемия".encode("cp1251")),
+        ("stats", "d1.ann", "T1\tDisease 0 6\tанемия".encode("cp1251")),
+        ("eval-coding", "predictions", '{"doc_id": "d1", "codes": ["J00"], "note": "ё"}'.encode("cp1251")),
+        ("eval-coding", "predictions", "[" * 100_000),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, 2.0]}\n'
+                                '{"mention_id": "q1", "vector": [1.0, 2.0]}'),
+        ("import-selection", "candidates",
+         '{"mention_id": "m1", "candidates": [{"rank": 1, "code": "J00"}]}\n'
+         '{"mention_id": "m1", "candidates": [{"rank": 1, "code": "J00"}, {"rank": 2, "code": "J01"}]}'),
+        ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": 1}\n'
+                                          '{"mention_id": "m1", "selected_rank": 1}'),
+        ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"]]}'),
+        ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"], ["J00"]]}\n'
+                                        '{"record_id": "r2", "annotators": [["J00"], ["J00"], []]}'),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
             "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
             "query-null-mention-id", "query-int-mention-id", "span-int-doc-id",
             "records-int-record-id", "annotator-malformed-codes", "annotator-int-code",
             "span-string-start", "span-float-end", "span-bool-start", "id-float", "id-string",
-            "id-bool", "rank-string", "rank-float", "rank-bool"])
+            "id-bool", "rank-string", "rank-float", "rank-bool", "txt-cp1251", "ann-cp1251",
+            "jsonl-cp1251", "deep-nesting", "queries-repeated-mention-id",
+            "candidates-repeated-mention-id", "selection-repeated-mention-id",
+            "one-annotator", "annotator-count-changes"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         good = {
@@ -444,14 +468,32 @@ class TestMalformedRows:
                 "candidates": '{"mention_id": "m1", "candidates": [{"rank": 1, "code": "J00"}]}',
                 "selection": '{"mention_id": "m1", "selected_rank": 1}',
             },
+            "eval-coding": {
+                "gold": '{"doc_id": "d1", "codes": ["J00"]}',
+                "predictions": '{"doc_id": "d1", "codes": ["J00"]}',
+            },
+            # the files of a one-document corpus, named by file rather than path key
+            "stats": {"d1.txt": "анемия", "d1.ann": "T1\tDisease 0 6\tанемия"},
         }[command]
+
+        def encoded(data):
+            return data if isinstance(data, bytes) else data.encode("utf-8")
+
         paths = {"output_dir": tmp_path / "out", "corpus_dir": corpus_dir}
+        files = {}
         for key, good_line in good.items():
-            paths[key] = tmp_path / f"{key}.txt"
-            paths[key].write_text((line if key == bad_key else good_line) + "\n",
-                                  encoding="utf-8")
+            if key.startswith("d1."):
+                files[key] = tmp_path / "corpus" / key
+                files[key].parent.mkdir(exist_ok=True)
+                paths["corpus_dir"] = files[key].parent
+            else:
+                paths[key] = files[key] = tmp_path / f"{key}.txt"
+            files[key].write_bytes(encoded(line if key == bad_key else good_line) + b"\n")
+        lineno = encoded(line).count(b"\n") + 1
         assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 3
-        assert f"{paths[bad_key].resolve()}:1:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{files[bad_key].resolve()}:{lineno}:" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["parse", "stats", "eval-ner"])

@@ -112,6 +112,11 @@ class TestParseBrat:
         with pytest.raises(InvalidFormatError, match="^ann:1: malformed T line"):
             parse_brat(TEXT, "T1\tDisease zero 7\tанемия-\n")
 
+    def test_duplicate_t_id(self):
+        # a second T1 would re-point every later N1 line
+        with pytest.raises(InvalidFormatError, match="^ann:3: duplicate T1$"):
+            parse_brat(TEXT, ANN + "T1\tDisease 8 14\tлегкой\nN2\tReference T1 ICD10:J00\tx\n")
+
     @pytest.mark.parametrize("line_break", ["\r\n", "\r"])
     def test_crlf_and_cr_ann(self, line_break):
         ann = ANN.replace("\n", line_break) + "T2\tDisease 8 99\tx" + line_break

@@ -9,7 +9,7 @@ from icdkit.codes import read_dictionary_tsv
 from icdkit.coding import read_code_predictions
 from icdkit.corpus import read_corpus_dir
 from icdkit.diagnosis import read_training_counts_tsv
-from icdkit.errors import InvalidFormatError
+from icdkit.errors import DataError, InvalidFormatError
 from icdkit.jsonl import read_jsonl, read_lines
 
 BOM = b"\xef\xbb\xbf"
@@ -34,7 +34,7 @@ class TestReadLines:
         path.write_bytes(BOM + BOM + b"x\n" + BOM + b"y\n")
         assert list(read_lines(path, str.strip)) == ["\ufeffx", "\ufeffy"]
 
-    @pytest.mark.parametrize("error", [KeyError, TypeError, ValueError, OverflowError])
+    @pytest.mark.parametrize("error", [KeyError, TypeError, ValueError, OverflowError, RecursionError])
     def test_row_errors_become_invalid_format(self, tmp_path, error):
         path = tmp_path / "rows.txt"
         path.write_text("x\n", encoding="utf-8")
@@ -45,6 +45,24 @@ class TestReadLines:
         with pytest.raises(InvalidFormatError, match=f"^{re.escape(str(path))}:1: ") as caught:
             list(read_lines(path, fail))
         assert type(caught.value.__cause__) is error
+
+    def test_icdkit_errors_keep_their_class(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_text("x\n", encoding="utf-8")
+
+        def fail(line):
+            raise DataError("bad row")
+
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:1: bad row$") as caught:
+            list(read_lines(path, fail))
+        assert type(caught.value) is DataError
+
+    def test_not_utf8_named_at_its_line(self, tmp_path):
+        # past the decoder's first 8 KB chunk, where a count of decoded lines falls behind
+        path = tmp_path / "rows.txt"
+        path.write_bytes(b"x\r\n" * 3000 + b"y\r" * 2000 + "анемия\n".encode("cp1251"))
+        with pytest.raises(InvalidFormatError, match=f"^{re.escape(str(path))}:5001: not UTF-8"):
+            list(read_lines(path, str.strip))
 
     def test_comment_line_in_jsonl_is_a_data_error(self, tmp_path):
         path = tmp_path / "rows.jsonl"
