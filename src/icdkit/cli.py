@@ -29,7 +29,7 @@ from icdkit.codes import (
     parse_code,
     read_dictionary_tsv,
 )
-from icdkit.corpus import corpus_stats, iaa_ratio, pairwise_jaccard, read_corpus_dir
+from icdkit.corpus import check_annotators, corpus_stats, iaa_ratio, pairwise_jaccard, read_corpus_dir
 from icdkit.diagnosis import (
     build_label_space,
     code_counts,
@@ -41,8 +41,8 @@ from icdkit.diagnosis import (
     restrict,
     weighted_f1,
 )
-from icdkit.errors import ConfigError, DataError, IcdkitError, InvalidFormatError
-from icdkit.jsonl import dump_jsonl, read_jsonl, typed_field
+from icdkit.errors import ConfigError, DataError, IcdkitError
+from icdkit.jsonl import dump_jsonl, read_jsonl, read_unique, typed_field
 from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 
@@ -153,7 +153,7 @@ def _query_row(row: dict) -> dict:
     from icdkit.retrieval import as_vector
     gold = row.get("gold")
     return {
-        "mention_id": typed_field(row, "mention_id", str),
+        "mention_id": row["mention_id"],
         "mention": row.get("mention", ""),
         "vector": as_vector(row["vector"]),
         "gold": parse_code(gold) if gold else None,
@@ -162,27 +162,13 @@ def _query_row(row: dict) -> dict:
 
 def _candidate_row(row: dict) -> dict:
     # only the keys baseline_selection and import_selection index, every code checked here
-    return {"mention_id": typed_field(row, "mention_id", str),
+    return {"mention_id": row["mention_id"],
             "candidates": [{"code": str(parse_code(cand["code"]))} for cand in row["candidates"]]}
 
 
 def _selection_row(row: dict) -> dict:
-    return {"mention_id": typed_field(row, "mention_id", str),
+    return {"mention_id": row["mention_id"],
             "selected_rank": typed_field(row, "selected_rank", int)}
-
-
-def _read_mentions(path: Path, row_fn: Callable[[dict], dict]) -> list[dict]:
-    """Rows of a queries, candidates or selection file; a mention_id appears once."""
-    seen: set[str] = set()
-
-    def row(raw: dict) -> dict:
-        value = row_fn(raw)
-        if value["mention_id"] in seen:
-            raise InvalidFormatError(f"duplicate mention_id {value['mention_id']!r}")
-        seen.add(value["mention_id"])
-        return value
-
-    return list(read_jsonl(path, row))
 
 
 def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -207,8 +193,8 @@ def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def cmd_stats(config: RunConfig) -> tuple[dict, dict[str, str]]:
-    docs = read_corpus_dir(config.path("corpus_dir"))
-    return corpus_stats(docs).as_dict(), {}
+    stats = vars(corpus_stats(read_corpus_dir(config.path("corpus_dir"))))
+    return {**stats, "code_frequency": {str(code): n for code, n in stats["code_frequency"].items()}}, {}
 
 
 def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -216,10 +202,7 @@ def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
     def add_row(row: dict) -> None:
         sets = [frozenset(map(parse_code, codes)) for codes in row["annotators"]]
-        if len(sets) < 2:
-            raise InvalidFormatError("agreement needs at least two annotators")
-        if records and len(sets) != len(records[0]):
-            raise InvalidFormatError(f"expected {len(records[0])} annotators, got {len(sets)}")
+        check_annotators(sets, len(records[0]) if records else len(sets))
         records.append(sets)
 
     for _ in read_jsonl(config.path("annotator_sets"), add_row):
@@ -251,7 +234,7 @@ def cmd_index(config: RunConfig) -> tuple[dict, dict[str, str]]:
 def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[dict], list]:
     from icdkit.retrieval import retrieve
     dictionary, index = _load_index(config)
-    queries = _read_mentions(config.path("queries"), _query_row)
+    queries = read_unique(config.path("queries"), _query_row, "mention_id")
     ranked = [
         retrieve(index, query["vector"], config.options.k, query_id=query["mention_id"])
         for query in queries
@@ -329,7 +312,7 @@ def cmd_eval_dp(config: RunConfig) -> tuple[dict, dict[str, str]]:
     space = build_label_space(records, training_counts)
     restriction = restrict(records, space)
     per_class = per_class_f1(restriction.records, space)
-    confusion = micro_confusion(restriction.records, space)
+    confusion = micro_confusion(restriction.records, space.codes)
     test_counts = {code: counts.tp + counts.fn
                    for code, counts in code_counts(restriction.records, space.codes).items()}
     top, bottom = frequency_split(test_counts, fraction=config.options.fraction,
@@ -372,13 +355,13 @@ def cmd_export_candidates(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 def cmd_import_selection(config: RunConfig) -> tuple[dict, dict[str, str]]:
     from icdkit.retrieval import baseline_selection, import_selection
-    candidate_records = _read_mentions(config.path("candidates"), _candidate_row)
+    candidate_records = read_unique(config.path("candidates"), _candidate_row, "mention_id")
     selection_path = config.path("selection", required=False)
     baseline = selection_path is None
     if baseline:
         selections = baseline_selection(candidate_records)
     else:
-        selections = _read_mentions(selection_path, _selection_row)
+        selections = read_unique(selection_path, _selection_row, "mention_id")
     resolved = import_selection(candidate_records, selections)
     rows = [{"mention_id": mention_id, "code": str(code)}
             for mention_id, code in resolved.items()]

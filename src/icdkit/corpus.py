@@ -113,16 +113,20 @@ def parse_brat(text: str, ann: str, doc_id: str = "", ann_path: str | Path = "an
 
 
 def read_corpus_dir(corpus_dir: str | Path) -> list[AnnotatedDocument]:
-    """Parse every ``.txt``/``.ann`` pair under a directory, sorted by name."""
+    """Parse every ``.txt``/``.ann`` pair under a directory, sorted by name; an unpaired file is an error."""
     corpus_dir = Path(corpus_dir)
+    # one directory listing finds unpaired files of both kinds, with no glob or stat per file
+    names = {path.name for path in corpus_dir.iterdir()}
     docs = []
-    for txt_path in sorted(corpus_dir.glob("*.txt")):
-        ann_path = txt_path.with_suffix(".ann")
-        if not ann_path.exists():
-            raise InvalidFormatError(f"missing annotation file for {txt_path.name}")
+    for txt_name in sorted({name[:-4] + ".txt" for name in names if name.endswith((".txt", ".ann"))}):
+        doc_id, ann_path = txt_name[:-4], corpus_dir / (txt_name[:-4] + ".ann")
+        if txt_name not in names:
+            raise InvalidFormatError(f"missing text file for {ann_path.name}")
+        if ann_path.name not in names:
+            raise InvalidFormatError(f"missing annotation file for {txt_name}")
         # no newline translation or BOM removal: BRAT offsets count every \r and a U+FEFF
-        text = read_text(txt_path, encoding="utf-8", newline="")
-        docs.append(parse_brat(text, read_text(ann_path), txt_path.stem, ann_path))
+        text = read_text(corpus_dir / txt_name, encoding="utf-8", newline="")
+        docs.append(parse_brat(text, read_text(ann_path), doc_id, ann_path))
     return docs
 
 
@@ -133,15 +137,6 @@ class CorpusStats:
     n_unique_codes: int
     mean_codes_per_record: float
     code_frequency: Mapping[IcdCode, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "n_entities": self.n_entities,
-            "n_unique_codes": self.n_unique_codes,
-            "mean_codes_per_record": self.mean_codes_per_record,
-            "code_frequency": {str(code): n for code, n in self.code_frequency.items()},
-        }
 
 
 def corpus_stats(docs: Iterable[AnnotatedDocument]) -> CorpusStats:
@@ -160,10 +155,12 @@ def corpus_stats(docs: Iterable[AnnotatedDocument]) -> CorpusStats:
     return CorpusStats(n_records, n_entities, len(frequency), mean, dict(frequency))
 
 
-def _check_annotator_sets(records: Sequence[Sequence[frozenset | set]]) -> None:
-    for i, record in enumerate(records):
-        if len(record) < 2:
-            raise ValueError(f"record {i}: agreement needs at least two annotators")
+def check_annotators(record: Sequence[frozenset | set], expected: int) -> None:
+    """Raise :class:`InvalidFormatError` unless ``record`` has ``expected`` annotators, at least two."""
+    if len(record) < 2:
+        raise InvalidFormatError("agreement needs at least two annotators")
+    if len(record) != expected:
+        raise InvalidFormatError(f"expected {expected} annotators, got {len(record)}")
 
 
 def iaa_ratio(
@@ -177,15 +174,16 @@ def iaa_ratio(
     the record. The default pools counts globally: sum of accepted over
     all records divided by the sum of unique codes, 0 when nothing was
     assigned. ``per_record_mean`` switches to averaging the per-record
-    ratio instead (records with no codes at all are skipped there).
+    ratio instead (records with no codes at all are skipped there). Every
+    record passes :func:`check_annotators` with the first record's count.
     """
     if quorum < 2:
         raise QuorumTooLowError(f"quorum must be >= 2, got {quorum}")
-    _check_annotator_sets(records)
     accepted_total = 0
     unique_total = 0
     per_record: list[float] = []
     for record in records:
+        check_annotators(record, len(records[0]))
         counts: Counter = Counter()
         for annotator_codes in record:
             counts.update(set(annotator_codes))
@@ -203,17 +201,15 @@ def iaa_ratio(
 def pairwise_jaccard(records: Sequence[Sequence[set]]) -> dict[tuple[int, int], float]:
     """Mean Jaccard similarity of code sets for each annotator pair.
 
-    Annotators are indexed by their position, which must be consistent
-    across records. A record where both annotators assigned nothing
-    counts as full (vacuous) agreement of 1 for that pair.
+    Annotators are indexed by their position, consistent across records
+    (:func:`check_annotators`). A record where both annotators assigned
+    nothing counts as full (vacuous) agreement of 1 for that pair.
     """
     if not records:
         return {}
-    _check_annotator_sets(records)
     n_annotators = len(records[0])
-    for i, record in enumerate(records):
-        if len(record) != n_annotators:
-            raise ValueError(f"record {i}: expected {n_annotators} annotators, got {len(record)}")
+    for record in records:
+        check_annotators(record, n_annotators)
     result: dict[tuple[int, int], float] = {}
     for a in range(n_annotators):
         for b in range(a + 1, n_annotators):

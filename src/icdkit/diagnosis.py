@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import read_jsonl, read_lines, typed_field
+from icdkit.jsonl import read_lines, read_unique
 from icdkit.metrics import ConfusionCounts, sum_counts
 
 
@@ -157,20 +157,15 @@ def weighted_f1(per_class: Mapping[IcdCode, float], space: LabelSpace) -> float:
     return sum(space.weights[code] * per_class[code] for code in space.codes)
 
 
-def micro_confusion(
-    records: Sequence[MultiLabelRecord],
-    space: LabelSpace | Sequence[IcdCode],
-) -> ConfusionCounts:
+def micro_confusion(records: Sequence[MultiLabelRecord], space: Sequence[IcdCode]) -> ConfusionCounts:
     """Confusion totals over every (record, code) binary outcome.
 
-    The four counts always sum to ``len(records) * n_codes``. ``space``
-    may be a plain code sequence, which is how frequency-group confusion
-    is counted: true negatives then range over the sub-space only, not
-    the full label space.
+    ``space`` is a code sequence, such as ``LabelSpace.codes`` or one
+    frequency group, and the four counts sum to ``len(records) * len(space)``:
+    a group's true negatives range over that group only.
     """
-    codes = space.codes if isinstance(space, LabelSpace) else tuple(space)
-    table = code_counts(records, codes)
-    return sum_counts(table[code] for code in codes)
+    table = code_counts(records, space)
+    return sum_counts(table[code] for code in space)
 
 
 def frequency_split(
@@ -197,19 +192,11 @@ def frequency_split(
 
 
 def read_records_jsonl(path: str | Path) -> list[MultiLabelRecord]:
-    """Load ``{"record_id": ..., "gold": [...], "predicted": [...]}`` rows."""
-    seen: set[str] = set()
-
-    def record(row: dict) -> MultiLabelRecord:
-        record_id = typed_field(row, "record_id", str)
-        gold = frozenset(parse_code(text) for text in row["gold"])
-        predicted = frozenset(parse_code(text) for text in row["predicted"])
-        if record_id in seen:
-            raise InvalidFormatError(f"duplicate record_id {record_id!r}")
-        seen.add(record_id)
-        return MultiLabelRecord(record_id, predicted, gold)
-
-    return list(read_jsonl(path, record))
+    """Load ``{"record_id": ..., "gold": [...], "predicted": [...]}`` rows;
+    a record_id appears once."""
+    return read_unique(path, lambda row: MultiLabelRecord(
+        row["record_id"], gold=frozenset(map(parse_code, row["gold"])),
+        predicted=frozenset(map(parse_code, row["predicted"]))), "record_id")
 
 
 def read_training_counts_tsv(path: str | Path) -> dict[IcdCode, int]:

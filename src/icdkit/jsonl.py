@@ -69,11 +69,33 @@ def read_jsonl(path: str | Path, row_fn: Callable[[Any], T]) -> Iterator[T]:
     return read_lines(path, lambda line: row_fn(json.loads(line)))
 
 
+def read_unique(path: str | Path, row_fn: Callable[[Any], T], key: str) -> list[T]:
+    """``row_fn(row)`` for each JSONL row, whose string ``key`` no other row repeats."""
+    seen: set[str] = set()
+
+    def row(raw: Any) -> T:
+        ident = typed_field(raw, key, str)
+        if ident in seen:
+            raise InvalidFormatError(f"duplicate {key} {ident!r}")
+        seen.add(ident)
+        return row_fn(raw)
+
+    return list(read_jsonl(path, row))
+
+
+def read_grouped(path: str | Path, key: str, items_fn: Callable[[Any], list[T]]) -> dict[str, list[T]]:
+    """The lists ``items_fn(row)`` of the JSONL rows, concatenated under each row's string ``key``."""
+    groups: dict[str, list[T]] = {}
+    for ident, items in read_jsonl(path, lambda row: (typed_field(row, key, str), items_fn(row))):
+        groups.setdefault(ident, []).extend(items)
+    return groups
+
+
 def typed_field(row: dict, key: str, kind: type[T]) -> T:
     """``row[key]``, which must be a JSON value of exactly type ``kind``: ids
     are strings in every file, and an int field rejects ``true``, ``0.7`` and ``"0"``."""
     if type(row[key]) is not kind:
-        raise TypeError(f"{key} must be {kind.__name__}, got {row[key]!r}")
+        raise InvalidFormatError(f"{key} must be {kind.__name__}, got {row[key]!r}")
     return row[key]
 
 

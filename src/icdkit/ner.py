@@ -14,7 +14,7 @@ from typing import Sequence
 
 from icdkit.codes import normalize_name
 from icdkit.corpus import Span
-from icdkit.jsonl import read_jsonl, typed_field
+from icdkit.jsonl import read_grouped, typed_field
 from icdkit.metrics import ConfusionCounts
 
 
@@ -92,13 +92,6 @@ def read_span_predictions(path: str | Path) -> dict[str, list[Span]]:
     """Load span predictions from JSONL rows of
     ``{"doc_id": ..., "spans": [{"start": ..., "end": ..., "text": ...}]}``.
     """
-    predictions: dict[str, list[Span]] = {}
-
-    def add_row(row: dict) -> None:
-        spans = [Span(typed_field(s, "start", int), typed_field(s, "end", int), s.get("text", ""))
-                 for s in row["spans"]]
-        predictions.setdefault(typed_field(row, "doc_id", str), []).extend(spans)
-
-    for _ in read_jsonl(path, add_row):
-        pass
-    return predictions
+    return read_grouped(path, "doc_id", lambda row: [
+        Span(typed_field(s, "start", int), typed_field(s, "end", int), s.get("text", ""))
+        for s in row["spans"]])

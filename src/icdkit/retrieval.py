@@ -85,11 +85,8 @@ class EmbeddingIndex:
         return self.matrix.shape[0]
 
 
-def build_index(
-    dictionary: IcdDictionary,
-    vectors: Mapping[int, Sequence[float]] | Iterable[tuple[int, Sequence[float]]],
-) -> EmbeddingIndex:
-    """Pair every dictionary entry with its vector and build the index.
+def build_index(dictionary: IcdDictionary, vectors: Iterable[tuple[int, Sequence[float]]]) -> EmbeddingIndex:
+    """Pair every dictionary entry with its vector from ``(entry id, vector)`` pairs and build the index.
 
     Every entry must have exactly one vector: a missing entry raises
     :class:`MissingVectorError`, duplicate or unknown ids raise
@@ -97,10 +94,9 @@ def build_index(
     :class:`DimensionMismatchError`, and NaN/inf components raise
     :class:`NonFiniteValueError`.
     """
-    pairs = vectors.items() if isinstance(vectors, Mapping) else vectors
     by_id: dict[int, Sequence[float]] = {}
     dim: int | None = None
-    for entry_id, vector in pairs:
+    for entry_id, vector in vectors:
         if type(entry_id) is not int:
             raise InvalidFormatError(f"vector id must be int, got {entry_id!r}")
         if entry_id < 0 or entry_id >= len(dictionary):
@@ -277,9 +273,7 @@ def import_selection(
         mention_id = selection["mention_id"]
         if mention_id not in by_mention:
             raise DataError(f"selection references unknown mention_id {mention_id!r}")
-        rank = selection["selected_rank"]
-        if type(rank) is not int:
-            raise InvalidFormatError(f"{mention_id}: selected_rank must be int, got {rank!r}")
+        rank = typed_field(selection, "selected_rank", int)
         candidates = by_mention[mention_id]
         if rank < 1 or rank > len(candidates):
             raise SelectionOutOfRangeError(

@@ -361,7 +361,7 @@ def test_criterion_07_dp_metrics_match_enumeration_oracle():
         if not space.codes:
             continue
         restricted = restrict(records, space).records
-        confusion = micro_confusion(restricted, space)
+        confusion = micro_confusion(restricted, space.codes)
         scores = per_class_f1(restricted, space).scores
 
         tp = fp = fn = tn = 0

@@ -36,6 +36,18 @@ class TestStats:
         assert report["tool_version"] == __version__
         assert len(report["config_hash"]) == 64
 
+    def test_stray_ann_exits_3_naming_it(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "rec001.txt").write_text("анемия", encoding="utf-8")
+        for name in ("rec001.ann", "rec002.ann"):
+            (corpus / name).write_text("T1\tDisease 0 6\tанемия\n", encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", {"corpus_dir": corpus, "output_dir": out})
+        assert run_cli("stats", cfg) == 3
+        assert "missing text file for rec002.ann" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, corpus_dir):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_config(tmp_path / "c1.json", {"corpus_dir": corpus_dir, "output_dir": out1})
@@ -437,6 +449,8 @@ class TestMalformedRows:
          '{"mention_id": "m1", "candidates": [{"rank": 1, "code": "J00"}, {"rank": 2, "code": "J01"}]}'),
         ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": 1}\n'
                                           '{"mention_id": "m1", "selected_rank": 1}'),
+        ("eval-dp", "records", '{"record_id": "r1", "gold": ["J00"], "predicted": []}\n'
+                               '{"record_id": "r1", "gold": ["J00"], "predicted": []}'),
         ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"]]}'),
         ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"], ["J00"]]}\n'
                                         '{"record_id": "r2", "annotators": [["J00"], ["J00"], []]}'),
@@ -449,7 +463,7 @@ class TestMalformedRows:
             "id-bool", "rank-string", "rank-float", "rank-bool", "txt-cp1251", "ann-cp1251",
             "jsonl-cp1251", "deep-nesting", "queries-repeated-mention-id",
             "candidates-repeated-mention-id", "selection-repeated-mention-id",
-            "one-annotator", "annotator-count-changes"])
+            "records-repeated-record-id", "one-annotator", "annotator-count-changes"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         good = {

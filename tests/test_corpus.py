@@ -264,6 +264,10 @@ class TestIaaRatio:
     def test_no_codes_at_all(self):
         assert iaa_ratio([[set(), set()]]) == 0.0
 
+    def test_annotator_count_must_not_change(self):
+        with pytest.raises(InvalidFormatError, match="expected 2 annotators, got 3"):
+            iaa_ratio([[{"A"}, {"A"}], [{"A"}, {"A"}, {"B"}]])
+
 
 class TestPairwiseJaccard:
     def test_set_identity(self):

@@ -144,12 +144,12 @@ class TestWeightedF1:
 class TestMicroConfusion:
     def test_correct_prediction(self):
         space = space_of({"A00": 0.5, "B00": 0.5})
-        counts = micro_confusion([record("r1", ["A00"], ["A00"])], space)
+        counts = micro_confusion([record("r1", ["A00"], ["A00"])], space.codes)
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 0, 0, 1)
 
     def test_wrong_prediction(self):
         space = space_of({"A00": 0.5, "B00": 0.5})
-        counts = micro_confusion([record("r1", ["B00"], ["A00"])], space)
+        counts = micro_confusion([record("r1", ["B00"], ["A00"])], space.codes)
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (0, 1, 1, 0)
 
     def test_totals_on_3x4_fixture(self):
@@ -159,7 +159,7 @@ class TestMicroConfusion:
             record("r2", [], ["C00", "D00"]),
             record("r3", ["D00"], ["D00"]),
         ]
-        counts = micro_confusion(records, space)
+        counts = micro_confusion(records, space.codes)
         assert counts.tp + counts.fp + counts.fn + counts.tn == 12
 
     def test_sub_space_confusion_counts_tn_over_group_only(self):
@@ -238,7 +238,7 @@ class TestAgainstEnumerationOracle:
         space = build_label_space(records, training_counts)
         restricted = restrict(records, space).records
         result = per_class_f1(restricted, space)
-        confusion = micro_confusion(restricted, space)
+        confusion = micro_confusion(restricted, space.codes)
 
         # oracle: walk the (record, code) grid and recount everything
         tp = fp = fn = tn = 0

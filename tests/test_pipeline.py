@@ -41,7 +41,7 @@ def build_toy_index(dictionary):
     for entry in dictionary:
         base = anchors[str(entry.code)]
         vectors[entry.entry_id] = [base[0] + 0.05 * entry.entry_id, base[1]]
-    return build_index(dictionary, vectors)
+    return build_index(dictionary, vectors.items())
 
 
 def test_retrieve_export_select_aggregate_round_trip():
@@ -119,4 +119,4 @@ def test_missing_vector_surfaces_before_any_query():
     dictionary = load_dictionary(DICT_ROWS)
     vectors = {e.entry_id: [1.0, 2.0] for e in dictionary if e.entry_id != 3}
     with pytest.raises(MissingVectorError, match="entry 3"):
-        build_index(dictionary, vectors)
+        build_index(dictionary, vectors.items())

@@ -35,6 +35,11 @@ from icdkit.retrieval import (
 )
 
 
+@pytest.fixture(scope="module")
+def shared_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("shared")
+
+
 def tiny_dictionary(n=3):
     rows = [("H10.0", "a"), ("H10.1", "b"), ("J00", "c"), ("E11.9", "d"), ("I25.2", "e")]
     return load_dictionary(rows[:n])
@@ -84,21 +89,21 @@ dyadic = st.integers(-64, 64).map(lambda n: n / 8.0)
 
 class TestBuildIndex:
     def test_complete_vectors(self):
-        index = build_index(tiny_dictionary(3), {0: [0.0, 1.0], 1: [1.0, 0.0], 2: [1.0, 1.0]})
+        index = build_index(tiny_dictionary(3), {0: [0.0, 1.0], 1: [1.0, 0.0], 2: [1.0, 1.0]}.items())
         assert len(index) == 3
         assert index.dim == 2
 
     def test_missing_vector(self):
         with pytest.raises(MissingVectorError, match="entry 2"):
-            build_index(tiny_dictionary(3), {0: [0.0], 1: [1.0]})
+            build_index(tiny_dictionary(3), {0: [0.0], 1: [1.0]}.items())
 
     def test_nan_component(self):
         with pytest.raises(NonFiniteValueError):
-            build_index(tiny_dictionary(2), {0: [0.0], 1: [float("nan")]})
+            build_index(tiny_dictionary(2), {0: [0.0], 1: [float("nan")]}.items())
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            build_index(tiny_dictionary(2), {0: [0.0, 1.0], 1: [1.0]})
+            build_index(tiny_dictionary(2), {0: [0.0, 1.0], 1: [1.0]}.items())
 
     def test_duplicate_vector_id(self):
         with pytest.raises(InvalidFormatError, match="duplicate"):
@@ -106,7 +111,7 @@ class TestBuildIndex:
 
     def test_unknown_vector_id(self):
         with pytest.raises(InvalidFormatError, match="no dictionary entry"):
-            build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0], 7: [2.0]})
+            build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0], 7: [2.0]}.items())
 
     @pytest.mark.parametrize("bad_id", [0.7, True, "0"])
     def test_vector_id_must_be_int(self, bad_id):
@@ -116,7 +121,7 @@ class TestBuildIndex:
             build_index(tiny_dictionary(2), [(bad_id, [1.0, 2.0]), (other, [0.0, 0.0])])
 
     def test_index_matrix_read_only(self):
-        index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]})
+        index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]}.items())
         with pytest.raises(ValueError):
             index.matrix[0, 0] = 5.0
 
@@ -129,42 +134,42 @@ class TestBuildIndex:
 
 class TestRetrieve:
     def test_exact_hit_at_distance_zero(self):
-        index = build_index(tiny_dictionary(3), {0: [0.0, 0.0], 1: [3.0, 4.0], 2: [1.0, 1.0]})
+        index = build_index(tiny_dictionary(3), {0: [0.0, 0.0], 1: [3.0, 4.0], 2: [1.0, 1.0]}.items())
         cands = retrieve(index, [3.0, 4.0], k=1)
         assert cands.hits[0].entry_id == 1
         assert cands.hits[0].distance == 0.0
 
     def test_two_dimensional_toy_set(self):
         # brute-force oracle fixes the expected order: (1,1) then (0,0)
-        index = build_index(tiny_dictionary(3), {0: [0.0, 0.0], 1: [3.0, 4.0], 2: [1.0, 1.0]})
+        index = build_index(tiny_dictionary(3), {0: [0.0, 0.0], 1: [3.0, 4.0], 2: [1.0, 1.0]}.items())
         cands = retrieve(index, [0.9, 0.9], k=2)
         assert [hit.entry_id for hit in cands.hits] == [2, 0]
         expected = brute_force([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]], [0.9, 0.9], 2)
         assert [(h.entry_id, h.distance) for h in cands.hits] == expected
 
     def test_tie_broken_by_lower_entry_id(self):
-        index = build_index(tiny_dictionary(3), {0: [1.0, 0.0], 1: [-1.0, 0.0], 2: [0.0, 5.0]})
+        index = build_index(tiny_dictionary(3), {0: [1.0, 0.0], 1: [-1.0, 0.0], 2: [0.0, 5.0]}.items())
         cands = retrieve(index, [0.0, 0.0], k=2)
         assert [hit.entry_id for hit in cands.hits] == [0, 1]
         assert cands.hits[0].distance == cands.hits[1].distance
 
     def test_query_dimension_mismatch(self):
-        index = build_index(tiny_dictionary(2), {0: [0.0, 1.0], 1: [1.0, 0.0]})
+        index = build_index(tiny_dictionary(2), {0: [0.0, 1.0], 1: [1.0, 0.0]}.items())
         with pytest.raises(DimensionMismatchError):
             retrieve(index, [1.0], k=1)
 
     def test_non_finite_query(self):
-        index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]})
+        index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]}.items())
         with pytest.raises(NonFiniteValueError):
             retrieve(index, [float("inf")], k=1)
 
     def test_k_larger_than_index(self):
-        index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]})
+        index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]}.items())
         assert len(retrieve(index, [0.5], k=10).hits) == 2
 
     def test_distances_non_decreasing(self):
         index = build_index(tiny_dictionary(5),
-                            {i: [float(i), float(-i)] for i in range(5)})
+                            {i: [float(i), float(-i)] for i in range(5)}.items())
         cands = retrieve(index, [2.2, -1.4], k=5)
         distances = [hit.distance for hit in cands.hits]
         assert distances == sorted(distances)
@@ -178,7 +183,7 @@ class TestRetrieve:
     def test_matches_brute_force_oracle(self, vectors, query, k):
         codes = ["H10.0", "H10.1", "J00", "E11.9", "I25.2"]
         rows = [(codes[i % len(codes)], f"name{i}") for i in range(len(vectors))]
-        index = build_index(load_dictionary(rows), dict(enumerate(vectors)))
+        index = build_index(load_dictionary(rows), enumerate(vectors))
         cands = retrieve(index, query, k)
         assert [(h.entry_id, h.distance) for h in cands.hits] == brute_force(vectors, query, k)
 
@@ -294,7 +299,7 @@ class TestShortlistMatchesScan:
         assert retrieved(one, [0.2, 0.2], 1) == scan_oracle(one, [0.2, 0.2], 1)
 
     def test_empty_index(self):
-        index = build_index(load_dictionary([]), {})
+        index = build_index(load_dictionary([]), [])
         assert retrieved(index, [0.5], 1) == scan_oracle(index, [0.5], 1) == []
 
 
@@ -335,7 +340,7 @@ class TestAccAtK:
 
     def test_with_vector_queries(self):
         dictionary = load_dictionary([("H10.0", "a"), ("J00", "b")])
-        index = build_index(dictionary, {0: [0.0, 0.0], 1: [4.0, 0.0]})
+        index = build_index(dictionary, {0: [0.0, 0.0], 1: [4.0, 0.0]}.items())
         vectors = [([3.5, 0.0], parse_code("J00")), ([0.5, 0.0], parse_code("J00"))]
         queries = [(retrieve(index, v, k=len(index)), gold) for v, gold in vectors]
         assert acc_at_k(queries, 1) == 0.5
@@ -379,17 +384,14 @@ class TestEmbeddingFiles:
         st.floats(width=32, allow_nan=False, allow_infinity=False),
         min_size=1, max_size=8,
     ))
-    def test_nine_digits_round_trip_any_float32(self, values):
+    def test_nine_digits_round_trip_any_float32(self, shared_dir, values):
         # 9 significant digits must recover every finite float32 bit-exactly,
-        # including extreme exponents and subnormals
-        import tempfile
-        from pathlib import Path
-
+        # including extreme exponents and subnormals; the examples rewrite one
+        # file in one directory, so an example makes no directory of its own
         original = np.asarray(values, dtype=np.float32)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "v.jsonl"
-            write_embeddings_jsonl(path, [(0, original.tolist())])
-            ((_, loaded),) = load_embeddings_jsonl(path)
+        path = shared_dir / "v.jsonl"
+        write_embeddings_jsonl(path, [(0, original.tolist())])
+        ((_, loaded),) = load_embeddings_jsonl(path)
         assert np.array_equal(np.asarray(loaded, dtype=np.float32), original)
 
     def test_malformed_row_reports_line(self, tmp_path):
