@@ -41,7 +41,7 @@ from icdkit.diagnosis import (
     restrict,
     weighted_f1,
 )
-from icdkit.errors import ConfigError, DataError, IcdkitError
+from icdkit.errors import ConfigError, InvalidFormatError
 from icdkit.jsonl import dump_jsonl, read_jsonl, read_unique, typed_field
 from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
@@ -146,16 +146,25 @@ def _load_index(config: RunConfig) -> tuple[IcdDictionary, EmbeddingIndex]:
     synonyms_path = config.path("synonyms", required=False)
     if synonyms_path is not None:
         dictionary = merge_synonyms(dictionary, read_dictionary_tsv(synonyms_path))
-    return dictionary, build_index(dictionary, load_embeddings_jsonl(config.path("embeddings")))
+    embeddings_path = config.path("embeddings")
+    vectors = load_embeddings_jsonl(embeddings_path)
+    try:
+        return dictionary, build_index(dictionary, vectors)
+    except InvalidFormatError as exc:
+        # build_index sees pairs, not lines: the file is named here, the entry id in the message
+        raise InvalidFormatError(f"{embeddings_path}: {exc}") from exc
 
 
-def _query_row(row: dict) -> dict:
+def _query_row(row: dict, dim: int) -> dict:
     from icdkit.retrieval import as_vector
+    vector = as_vector(row["vector"])
+    if len(vector) != dim:
+        raise InvalidFormatError(f"query dim {vector.shape} does not match index dim {dim}")
     gold = row.get("gold")
     return {
         "mention_id": row["mention_id"],
         "mention": row.get("mention", ""),
-        "vector": as_vector(row["vector"]),
+        "vector": vector,
         "gold": parse_code(gold) if gold else None,
     }
 
@@ -205,8 +214,7 @@ def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
         check_annotators(sets, len(records[0]) if records else len(sets))
         records.append(sets)
 
-    for _ in read_jsonl(config.path("annotator_sets"), add_row):
-        pass
+    read_jsonl(config.path("annotator_sets"), add_row)
     ratio = iaa_ratio(records, quorum=config.options.quorum,
                       per_record_mean=config.options.per_record_mean)
     jaccard = pairwise_jaccard(records)
@@ -234,7 +242,7 @@ def cmd_index(config: RunConfig) -> tuple[dict, dict[str, str]]:
 def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[dict], list]:
     from icdkit.retrieval import retrieve
     dictionary, index = _load_index(config)
-    queries = read_unique(config.path("queries"), _query_row, "mention_id")
+    queries = read_unique(config.path("queries"), lambda row: _query_row(row, index.dim), "mention_id")
     ranked = [
         retrieve(index, query["vector"], config.options.k, query_id=query["mention_id"])
         for query in queries
@@ -274,7 +282,7 @@ def cmd_eval_ner(config: RunConfig) -> tuple[dict, dict[str, str]]:
     known = {doc.doc_id for doc in docs}
     unknown = sorted(set(predictions) - known)
     if unknown:
-        raise DataError(f"{predictions_path}: predictions reference unknown doc_ids: {unknown[:5]}")
+        raise InvalidFormatError(f"{predictions_path}: predictions reference unknown doc_ids: {unknown[:5]}")
     per_doc = []
     missing = 0
     for doc in docs:
@@ -296,7 +304,7 @@ def cmd_eval_coding(config: RunConfig) -> tuple[dict, dict[str, str]]:
     predictions = read_code_predictions(predictions_path)
     unknown = sorted(set(predictions) - set(gold))
     if unknown:
-        raise DataError(f"{predictions_path}: predictions reference unknown doc_ids: {unknown[:5]}")
+        raise InvalidFormatError(f"{predictions_path}: predictions reference unknown doc_ids: {unknown[:5]}")
     reports = evaluate_coding(predictions, gold)
     results = {
         "n_docs": len(gold),
@@ -432,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IcdkitError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

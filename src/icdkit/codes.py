@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from icdkit.errors import EmptyInputError, InvalidFormatError
+from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_lines
 
 _CODE_RE = re.compile(r"^([A-Z])(\d{2})(?:\.(\d{1,2}))?$")
@@ -74,7 +74,7 @@ def parse_code(text: str) -> IcdCode:
 def _parse_text(text: str) -> IcdCode:
     stripped = text.strip()
     if not stripped:
-        raise EmptyInputError("empty ICD code")
+        raise InvalidFormatError("empty ICD code")
     m = _CODE_RE.match(stripped)
     if m is None:
         raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
@@ -188,7 +188,7 @@ def read_dictionary_tsv(path: str | Path) -> list[tuple[str, str]]:
         parse_code(code_text)
         return code_text, name_text
 
-    return list(read_lines(path, row, comments=True))
+    return read_lines(path, row, comments=True)
 
 
 def load_dictionary_tsv(path: str | Path) -> IcdDictionary:

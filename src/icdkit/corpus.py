@@ -18,13 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code
-from icdkit.errors import (
-    BadCodeError,
-    DanglingReferenceError,
-    InvalidFormatError,
-    OffsetMismatchError,
-    QuorumTooLowError,
-)
+from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import frame_lines, read_text
 
 _T_LINE_RE = re.compile(r"^(T\d+)\t(\S+) (\d+) (\d+)\t(.*)$")
@@ -68,11 +62,10 @@ def parse_brat(text: str, ann: str, doc_id: str = "", ann_path: str | Path = "an
     line without a reference is dropped; one with several references yields
     an entity per reference, so the multiplicity stays visible to the caller.
 
-    Raises :class:`OffsetMismatchError` when a recorded surface disagrees
-    with the text slice, :class:`DanglingReferenceError` when an ``N``
-    line points at a missing span, :class:`BadCodeError` for codes that
-    do not parse, and :class:`InvalidFormatError` for a malformed line or
-    a repeated ``T`` id; each message begins ``ann_path:line``.
+    A malformed line, a repeated ``T`` id, a surface that disagrees with
+    the text slice, an ``N`` line pointing at a missing span and a code
+    that does not parse each raise :class:`InvalidFormatError` whose
+    message begins ``ann_path:line``.
     """
     links: dict[str, tuple[Span, list[IcdCode]]] = {}
 
@@ -88,9 +81,9 @@ def parse_brat(text: str, ann: str, doc_id: str = "", ann_path: str | Path = "an
                 raise InvalidFormatError(f"duplicate {tid}")
             start, end = int(start_text), int(end_text)
             if not (0 <= start < end <= len(text)):
-                raise OffsetMismatchError(f"span [{start}, {end}) outside document of length {len(text)}")
+                raise InvalidFormatError(f"span [{start}, {end}) outside document of length {len(text)}")
             if text[start:end] != surface:
-                raise OffsetMismatchError(f"surface {surface!r} != text slice {text[start:end]!r}")
+                raise InvalidFormatError(f"surface {surface!r} != text slice {text[start:end]!r}")
             links[tid] = (Span(start, end, surface), [])
         elif kind == "N":
             m = _N_LINE_RE.match(line)
@@ -98,16 +91,11 @@ def parse_brat(text: str, ann: str, doc_id: str = "", ann_path: str | Path = "an
                 raise InvalidFormatError(f"malformed N line: {line!r}")
             _nid, _reftype, tid, _resource, code_text, _name = m.groups()
             if tid not in links:
-                raise DanglingReferenceError(f"reference to missing {tid}")
-            try:
-                code = parse_code(code_text)
-            except InvalidFormatError as exc:
-                raise BadCodeError(str(exc)) from exc
-            links[tid][1].append(code)
+                raise InvalidFormatError(f"reference to missing {tid}")
+            links[tid][1].append(parse_code(code_text))
 
     # newline=None splits at CRLF, CR and LF only, as read_lines does
-    for _ in frame_lines(io.StringIO(ann, newline=None), ann_path, row):
-        pass
+    frame_lines(io.StringIO(ann, newline=None), ann_path, row)
     return AnnotatedDocument(doc_id, text, tuple((span, code) for span, codes in links.values()
                                                  for code in codes))
 
@@ -178,7 +166,7 @@ def iaa_ratio(
     record passes :func:`check_annotators` with the first record's count.
     """
     if quorum < 2:
-        raise QuorumTooLowError(f"quorum must be >= 2, got {quorum}")
+        raise ValueError(f"quorum must be >= 2, got {quorum}")
     accepted_total = 0
     unique_total = 0
     per_record: list[float] = []

@@ -212,6 +212,5 @@ def read_training_counts_tsv(path: str | Path) -> dict[IcdCode, int]:
             raise InvalidFormatError("negative count")
         counts[code] = counts.get(code, 0) + count
 
-    for _ in read_lines(path, add_row, comments=True):
-        pass
+    read_lines(path, add_row, comments=True)
     return counts

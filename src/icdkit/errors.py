@@ -1,4 +1,6 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit: a fault in an input file raises
+:class:`InvalidFormatError` (CLI exit 3), a fault in the run configuration
+:class:`ConfigError` (exit 2), and a bad library argument a plain ``ValueError``."""
 
 
 class IcdkitError(Exception):
@@ -6,48 +8,8 @@ class IcdkitError(Exception):
 
 
 class InvalidFormatError(IcdkitError, ValueError):
-    """Input text does not match the expected shape (code, row, or line)."""
-
-
-class EmptyInputError(InvalidFormatError):
-    """An empty string was given where a code was required."""
-
-
-class OffsetMismatchError(IcdkitError):
-    """Annotation offsets do not reproduce the recorded surface text."""
-
-
-class DanglingReferenceError(IcdkitError):
-    """A normalization line points at a span id that does not exist."""
-
-
-class BadCodeError(IcdkitError):
-    """An annotation carries a code that does not parse as ICD-10."""
-
-
-class QuorumTooLowError(IcdkitError, ValueError):
-    """Agreement quorum below the minimum of two annotators."""
-
-
-class MissingVectorError(IcdkitError):
-    """A dictionary entry has no embedding vector."""
-
-
-class DimensionMismatchError(IcdkitError):
-    """Vector dimensions disagree within an index or with a query."""
-
-
-class NonFiniteValueError(IcdkitError):
-    """An embedding component is NaN or infinite."""
-
-
-class SelectionOutOfRangeError(IcdkitError):
-    """A reranker selection names a candidate rank that was not exported."""
+    """Input data does not have the expected shape or content (code, row, line or vector)."""
 
 
 class ConfigError(IcdkitError):
     """Run configuration is missing, malformed, or references bad paths."""
-
-
-class DataError(IcdkitError):
-    """An input data file failed validation."""

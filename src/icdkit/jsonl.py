@@ -4,39 +4,38 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
-from icdkit.errors import IcdkitError, InvalidFormatError
+from icdkit.errors import InvalidFormatError
 
 T = TypeVar("T")
 
 
 def frame_lines(lines: Iterable[str], where: str | Path, row_fn: Callable[[str], T],
-                comments: bool = False) -> Iterator[T]:
-    """Yield ``row_fn(line)`` for each non-blank line, skipping ``#`` lines if
-    ``comments`` (TSV). An :class:`IcdkitError` from ``row_fn`` keeps its class
-    and gains the prefix ``where:line``; a ``KeyError``, ``TypeError``,
-    ``ValueError``, ``OverflowError`` or ``RecursionError`` becomes
-    :class:`InvalidFormatError` with it, so checks across rows belong in ``row_fn``."""
+                comments: bool = False) -> list[T]:
+    """``row_fn(line)`` for each non-blank line, skipping ``#`` lines if
+    ``comments`` (TSV). A ``KeyError``, ``TypeError``, ``ValueError`` (such as
+    :class:`InvalidFormatError`), ``OverflowError`` or ``RecursionError`` from
+    ``row_fn`` becomes :class:`InvalidFormatError` prefixed ``where:line``, so
+    checks across rows belong in ``row_fn``."""
+    values = []
     for lineno, line in enumerate(lines, start=1):
         # isspace, not strip, so a 9 KB embedding row is never copied
         if line.isspace() or comments and line.lstrip().startswith("#"):
             continue
         try:
-            value = row_fn(line)
-        except IcdkitError as exc:
-            raise type(exc)(f"{where}:{lineno}: {exc}") from exc
+            values.append(row_fn(line))
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise InvalidFormatError(f"{where}:{lineno}: {exc}") from exc
-        yield value
+    return values
 
 
-def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool = False) -> Iterator[T]:
+def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool = False) -> list[T]:
     """:func:`frame_lines` over a UTF-8 file whose one leading BOM is dropped;
     a line ends at CRLF, CR or LF and reaches ``row_fn`` with that break as ``\\n``."""
     with open(path, encoding="utf-8-sig") as handle:
         try:
-            yield from frame_lines(handle, path, row_fn, comments)
+            return frame_lines(handle, path, row_fn, comments)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path) from exc
 
@@ -64,8 +63,8 @@ def _not_utf8(path: str | Path) -> InvalidFormatError:
     return InvalidFormatError(f"{path}: not UTF-8")
 
 
-def read_jsonl(path: str | Path, row_fn: Callable[[Any], T]) -> Iterator[T]:
-    """Yield ``row_fn(json.loads(line))`` for each line :func:`read_lines` frames."""
+def read_jsonl(path: str | Path, row_fn: Callable[[Any], T]) -> list[T]:
+    """``row_fn(json.loads(line))`` for each line :func:`read_lines` frames."""
     return read_lines(path, lambda line: row_fn(json.loads(line)))
 
 
@@ -80,14 +79,17 @@ def read_unique(path: str | Path, row_fn: Callable[[Any], T], key: str) -> list[
         seen.add(ident)
         return row_fn(raw)
 
-    return list(read_jsonl(path, row))
+    return read_jsonl(path, row)
 
 
 def read_grouped(path: str | Path, key: str, items_fn: Callable[[Any], list[T]]) -> dict[str, list[T]]:
     """The lists ``items_fn(row)`` of the JSONL rows, concatenated under each row's string ``key``."""
     groups: dict[str, list[T]] = {}
-    for ident, items in read_jsonl(path, lambda row: (typed_field(row, key, str), items_fn(row))):
-        groups.setdefault(ident, []).extend(items)
+
+    def row(raw: Any) -> None:
+        groups.setdefault(typed_field(raw, key, str), []).extend(items_fn(raw))
+
+    read_jsonl(path, row)
     return groups
 
 

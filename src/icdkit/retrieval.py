@@ -23,14 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from icdkit.codes import IcdCode, IcdDictionary, parse_code, truncate_to_group
-from icdkit.errors import (
-    DataError,
-    DimensionMismatchError,
-    InvalidFormatError,
-    MissingVectorError,
-    NonFiniteValueError,
-    SelectionOutOfRangeError,
-)
+from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_jsonl, typed_field
 
 
@@ -60,13 +53,11 @@ class EmbeddingIndex:
         # the one copy of the vectors: later writes to the caller's rows cannot reach it
         matrix = np.array(matrix, dtype=np.float64)
         if matrix.ndim != 2:
-            raise DimensionMismatchError("embedding matrix must be 2-D")
+            raise InvalidFormatError("embedding matrix must be 2-D")
         if len(codes) != matrix.shape[0]:
-            raise DimensionMismatchError(
-                f"{len(codes)} codes for {matrix.shape[0]} vectors"
-            )
+            raise InvalidFormatError(f"{len(codes)} codes for {matrix.shape[0]} vectors")
         if not np.isfinite(matrix).all():
-            raise NonFiniteValueError("embedding matrix contains non-finite values")
+            raise InvalidFormatError("embedding matrix contains non-finite values")
         self.codes: tuple[IcdCode, ...] = tuple(codes)
         self.matrix = matrix
         self.matrix.setflags(write=False)
@@ -88,11 +79,9 @@ class EmbeddingIndex:
 def build_index(dictionary: IcdDictionary, vectors: Iterable[tuple[int, Sequence[float]]]) -> EmbeddingIndex:
     """Pair every dictionary entry with its vector from ``(entry id, vector)`` pairs and build the index.
 
-    Every entry must have exactly one vector: a missing entry raises
-    :class:`MissingVectorError`, duplicate or unknown ids raise
-    :class:`InvalidFormatError`, inconsistent dimensions raise
-    :class:`DimensionMismatchError`, and NaN/inf components raise
-    :class:`NonFiniteValueError`.
+    Every entry must have exactly one vector, and every vector the same
+    number of finite components: a missing, duplicate or unknown id, a
+    second dimension or a NaN/inf component raises :class:`InvalidFormatError`.
     """
     by_id: dict[int, Sequence[float]] = {}
     dim: int | None = None
@@ -106,15 +95,13 @@ def build_index(dictionary: IcdDictionary, vectors: Iterable[tuple[int, Sequence
         if dim is None:
             dim = len(vector)
             if dim == 0:
-                raise DimensionMismatchError("vectors must have at least one component")
+                raise InvalidFormatError("vectors must have at least one component")
         elif len(vector) != dim:
-            raise DimensionMismatchError(
-                f"entry {entry_id}: expected dim {dim}, got {len(vector)}"
-            )
+            raise InvalidFormatError(f"entry {entry_id}: expected dim {dim}, got {len(vector)}")
         by_id[entry_id] = vector
     for entry in dictionary:
         if entry.entry_id not in by_id:
-            raise MissingVectorError(f"no vector for entry {entry.entry_id} ({entry.code})")
+            raise InvalidFormatError(f"no vector for entry {entry.entry_id} ({entry.code})")
     if not len(dictionary):
         return EmbeddingIndex((), np.zeros((0, 1)))
     # EmbeddingIndex stacks the rows and rejects non-finite components
@@ -132,9 +119,9 @@ def retrieve(
         raise ValueError(f"k must be >= 1, got {k}")
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != index.dim:
-        raise DimensionMismatchError(f"query dim {q.shape} does not match index dim {index.dim}")
+        raise InvalidFormatError(f"query dim {q.shape} does not match index dim {index.dim}")
     if not np.isfinite(q).all():
-        raise NonFiniteValueError("query contains non-finite values")
+        raise InvalidFormatError("query contains non-finite values")
     if k < len(index):
         # Shortlist by approx = ‖x‖² − 2x·q + ‖q‖², then rescore it exactly.
         # Margin, with u = 2**-53, r = max‖x‖ + ‖q‖ and D the true squared
@@ -215,7 +202,7 @@ def as_vector(values: object) -> np.ndarray:
 
 def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
     """Read ``{"id": int, "vector": [floats]}`` rows from a JSONL file."""
-    return list(read_jsonl(path, lambda row: (typed_field(row, "id", int), as_vector(row["vector"]))))
+    return read_jsonl(path, lambda row: (typed_field(row, "id", int), as_vector(row["vector"])))
 
 
 def write_embeddings_jsonl(path: str | Path, rows: Iterable[tuple[int, Sequence[float]]]) -> None:
@@ -263,21 +250,17 @@ def import_selection(
     """Resolve reranker selections against exported candidate records.
 
     Each selection must name an exported mention and a 1-based rank
-    within its candidate list; anything else raises
-    :class:`SelectionOutOfRangeError` (bad rank) or :class:`DataError`
-    (unknown mention).
+    within its candidate list; anything else raises :class:`InvalidFormatError`.
     """
     by_mention = {rec["mention_id"]: rec["candidates"] for rec in candidate_records}
     resolved: dict[str, IcdCode] = {}
     for selection in selections:
         mention_id = selection["mention_id"]
         if mention_id not in by_mention:
-            raise DataError(f"selection references unknown mention_id {mention_id!r}")
+            raise InvalidFormatError(f"selection references unknown mention_id {mention_id!r}")
         rank = typed_field(selection, "selected_rank", int)
         candidates = by_mention[mention_id]
         if rank < 1 or rank > len(candidates):
-            raise SelectionOutOfRangeError(
-                f"{mention_id}: selected rank {rank} of {len(candidates)} candidates"
-            )
+            raise InvalidFormatError(f"{mention_id}: selected rank {rank} of {len(candidates)} candidates")
         resolved[mention_id] = parse_code(candidates[rank - 1]["code"])
     return resolved

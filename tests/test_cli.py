@@ -237,7 +237,9 @@ class TestRetrievalCommands:
         }, options={"k": 3})
         # embeddings cover the merged dictionary; without synonyms ids are unknown
         assert run_cli("export-candidates", cfg) == 3
-        assert "no dictionary entry" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {embedding_workspace['embeddings'].resolve()}: vector id " in err
+        assert "has no dictionary entry" in err
 
     def test_out_of_range_selection_is_data_error(self, tmp_path, fixtures_dir,
                                                   embedding_workspace, capsys):
@@ -454,6 +456,8 @@ class TestMalformedRows:
         ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"]]}'),
         ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"], ["J00"]]}\n'
                                         '{"record_id": "r2", "annotators": [["J00"], ["J00"], []]}'),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, 2.0]}\n'
+                                '{"mention_id": "q2", "vector": [1.0, 2.0, 3.0], "gold": "J00"}'),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
             "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
@@ -463,7 +467,7 @@ class TestMalformedRows:
             "id-bool", "rank-string", "rank-float", "rank-bool", "txt-cp1251", "ann-cp1251",
             "jsonl-cp1251", "deep-nesting", "queries-repeated-mention-id",
             "candidates-repeated-mention-id", "selection-repeated-mention-id",
-            "records-repeated-record-id", "one-annotator", "annotator-count-changes"])
+            "records-repeated-record-id", "one-annotator", "annotator-count-changes", "query-dim"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         good = {

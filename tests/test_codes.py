@@ -18,7 +18,7 @@ from icdkit.codes import (
     read_dictionary_tsv,
     truncate_to_group,
 )
-from icdkit.errors import EmptyInputError, InvalidFormatError
+from icdkit.errors import InvalidFormatError
 
 code_strategy = st.builds(
     IcdCode,
@@ -63,7 +63,7 @@ class TestParseCode:
             parse_code(bad)
 
     def test_empty_is_its_own_error(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InvalidFormatError, match="^empty ICD code$"):
             parse_code("")
 
     def test_repeated_text_shares_one_code(self):

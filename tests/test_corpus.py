@@ -18,13 +18,7 @@ from icdkit.corpus import (
     parse_brat,
     read_corpus_dir,
 )
-from icdkit.errors import (
-    BadCodeError,
-    DanglingReferenceError,
-    InvalidFormatError,
-    OffsetMismatchError,
-    QuorumTooLowError,
-)
+from icdkit.errors import InvalidFormatError
 
 
 def render_ann(doc: AnnotatedDocument, label: str = "Disease", resource: str = "ICD10") -> str:
@@ -69,22 +63,22 @@ class TestParseBrat:
 
     def test_dangling_reference(self):
         ann = "T1\tDisease 0 7\tанемия-\nN1\tReference T9 ICD10:D50.9\tx\n"
-        with pytest.raises(DanglingReferenceError):
+        with pytest.raises(InvalidFormatError, match="^ann:2: reference to missing T9$"):
             parse_brat(TEXT, ann)
 
     def test_offset_mismatch(self):
         ann = "T1\tDisease 0 7\tаномалия\nN1\tReference T1 ICD10:D50.9\tx\n"
-        with pytest.raises(OffsetMismatchError):
+        with pytest.raises(InvalidFormatError, match="^ann:1: surface 'аномалия' != text slice 'анемия-'$"):
             parse_brat(TEXT, ann)
 
     def test_span_outside_document(self):
         ann = "T1\tDisease 0 99\tанемия-\n"
-        with pytest.raises(OffsetMismatchError):
+        with pytest.raises(InvalidFormatError, match=r"^ann:1: span \[0, 99\) outside document of length "):
             parse_brat(TEXT, ann)
 
     def test_bad_code(self):
         ann = "T1\tDisease 0 7\tанемия-\nN1\tReference T1 ICD10:NOPE\tx\n"
-        with pytest.raises(BadCodeError):
+        with pytest.raises(InvalidFormatError, match="^ann:2: not an ICD-10 code: 'NOPE'$"):
             parse_brat(TEXT, ann)
 
     def test_t_without_reference_dropped(self):
@@ -120,7 +114,7 @@ class TestParseBrat:
     @pytest.mark.parametrize("line_break", ["\r\n", "\r"])
     def test_crlf_and_cr_ann(self, line_break):
         ann = ANN.replace("\n", line_break) + "T2\tDisease 8 99\tx" + line_break
-        with pytest.raises(OffsetMismatchError, match="^ann:3: span"):
+        with pytest.raises(InvalidFormatError, match=r"^ann:3: span \[8, 99\) outside document"):
             parse_brat(TEXT, ann)
         assert parse_brat(TEXT, ANN.replace("\n", line_break)) == parse_brat(TEXT, ANN)
 
@@ -140,21 +134,20 @@ class TestParseBrat:
         assert (span.start, span.end, str(code)) == (3, 9, "D50.9")
         assert doc.text[span.start:span.end] == span.surface == "анемия"
 
-    @pytest.mark.parametrize("ann, error", [
-        ("T1\tDisease 0 7\tанемия-\nN1\tReference T1 ICD10:XX\tx\n", BadCodeError),
-        ("T1\tDisease 0 7\tанемия-\nN1\tReference T9 ICD10:J00\tx\n", DanglingReferenceError),
-        ("T1\tDisease 0 7\tанемия-\nT2\tDisease 0 7\tанемия+\n", OffsetMismatchError),
-        ("T1\tDisease 0 7\tанемия-\nN1\tReference\n", InvalidFormatError),
+    @pytest.mark.parametrize("ann, message", [
+        ("T1\tDisease 0 7\tанемия-\nN1\tReference T1 ICD10:XX\tx\n", "not an ICD-10 code: 'XX'"),
+        ("T1\tDisease 0 7\tанемия-\nN1\tReference T9 ICD10:J00\tx\n", "reference to missing T9"),
+        ("T1\tDisease 0 7\tанемия-\nT2\tDisease 0 7\tанемия+\n", "surface 'анемия+' != text slice 'анемия-'"),
+        ("T1\tDisease 0 7\tанемия-\nN1\tReference\n", "malformed N line: 'N1\\tReference'"),
     ], ids=["bad-code", "dangling", "surface", "malformed-n"])
-    def test_errors_name_ann_file_and_line(self, tmp_path, ann, error):
+    def test_errors_name_ann_file_and_line(self, tmp_path, ann, message):
         for doc_id in ("d0", "d1"):
             (tmp_path / f"{doc_id}.txt").write_text(TEXT, encoding="utf-8")
         (tmp_path / "d0.ann").write_text(ANN, encoding="utf-8")
         (tmp_path / "d1.ann").write_text(ann, encoding="utf-8")
-        with pytest.raises(error) as caught:
+        with pytest.raises(InvalidFormatError) as caught:
             read_corpus_dir(tmp_path)
-        assert type(caught.value) is error
-        assert str(caught.value).startswith(f"{tmp_path / 'd1.ann'}:2: ")
+        assert str(caught.value) == f"{tmp_path / 'd1.ann'}:2: {message}"
 
 
 # \x0c, \x85 and \u2028 end a line for str.splitlines but not for BRAT
@@ -254,8 +247,9 @@ class TestIaaRatio:
         assert iaa_ratio(records, per_record_mean=True) == pytest.approx(0.5)
 
     def test_quorum_too_low(self):
-        with pytest.raises(QuorumTooLowError):
+        with pytest.raises(ValueError, match="^quorum must be >= 2, got 1$") as caught:
             iaa_ratio([[{"A"}, {"A"}]], quorum=1)
+        assert type(caught.value) is ValueError
 
     def test_requires_two_annotators(self):
         with pytest.raises(ValueError):

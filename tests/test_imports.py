@@ -1,4 +1,4 @@
-"""Every name a module under ``src/icdkit`` imports is used there."""
+"""Modules under ``src/icdkit`` use every name they import and raise only the toolkit's error classes."""
 
 import ast
 from pathlib import Path
@@ -36,3 +36,26 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# input faults, config faults and bad library arguments; see icdkit.errors
+ERROR_CLASSES = {"InvalidFormatError", "ConfigError", "ValueError"}
+
+
+def raised_classes(source: str) -> set[str]:
+    """Capitalised names that ``source`` raises by calling them, as in ``raise Name(...)``."""
+    return {node.exc.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name) and node.exc.func.id[:1].isupper()}
+
+
+def test_finds_a_raise_outside_the_error_classes():
+    source = ("def f(row):\n    if not row:\n        raise KeyError(row)\n"
+              "    try:\n        raise ValueError('v')\n    except ValueError as exc:\n"
+              "        raise _located(exc) from exc\n    raise\n")
+    assert raised_classes(source) - ERROR_CLASSES == {"KeyError"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_module_raises_only_the_error_classes(path):
+    assert raised_classes(path.read_text(encoding="utf-8")) <= ERROR_CLASSES

@@ -9,7 +9,7 @@ from icdkit.codes import read_dictionary_tsv
 from icdkit.coding import read_code_predictions
 from icdkit.corpus import read_corpus_dir
 from icdkit.diagnosis import read_training_counts_tsv
-from icdkit.errors import DataError, InvalidFormatError
+from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_jsonl, read_lines
 
 BOM = b"\xef\xbb\xbf"
@@ -19,7 +19,7 @@ class TestReadLines:
     def test_line_breaks_blank_lines_and_line_numbers(self, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_bytes(b"a\r\n\r\nb\rc\n \t\nd")
-        assert list(read_lines(path, lambda line: line)) == ["a\n", "b\n", "c\n", "d"]
+        assert read_lines(path, lambda line: line) == ["a\n", "b\n", "c\n", "d"]
         with pytest.raises(InvalidFormatError, match=r"rows\.txt:4: 'c\\n'"):
             list(read_lines(path, lambda line: {"a\n": 1, "b\n": 2}[line]))
 
@@ -51,11 +51,12 @@ class TestReadLines:
         path.write_text("x\n", encoding="utf-8")
 
         def fail(line):
-            raise DataError("bad row")
+            raise InvalidFormatError("bad row")
 
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:1: bad row$") as caught:
-            list(read_lines(path, fail))
-        assert type(caught.value) is DataError
+        # an InvalidFormatError is a ValueError, yet gains the prefix once
+        with pytest.raises(InvalidFormatError, match=f"^{re.escape(str(path))}:1: bad row$") as caught:
+            read_lines(path, fail)
+        assert type(caught.value) is InvalidFormatError
 
     def test_not_utf8_named_at_its_line(self, tmp_path):
         # past the decoder's first 8 KB chunk, where a count of decoded lines falls behind

@@ -13,7 +13,7 @@ import pytest
 from icdkit.coding import aggregate_document, aggregate_relaxed, corpus_micro
 from icdkit.codes import load_dictionary, parse_code
 from icdkit.corpus import parse_brat
-from icdkit.errors import MissingVectorError
+from icdkit.errors import InvalidFormatError
 from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import fuzzy_verify, match_spans
 from icdkit.retrieval import (
@@ -118,5 +118,5 @@ def test_synonym_entries_collapse_to_one_rank():
 def test_missing_vector_surfaces_before_any_query():
     dictionary = load_dictionary(DICT_ROWS)
     vectors = {e.entry_id: [1.0, 2.0] for e in dictionary if e.entry_id != 3}
-    with pytest.raises(MissingVectorError, match="entry 3"):
+    with pytest.raises(InvalidFormatError, match="^no vector for entry 3 "):
         build_index(dictionary, vectors.items())

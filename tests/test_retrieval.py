@@ -11,14 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icdkit.codes import load_dictionary, parse_code
-from icdkit.errors import (
-    DataError,
-    DimensionMismatchError,
-    InvalidFormatError,
-    MissingVectorError,
-    NonFiniteValueError,
-    SelectionOutOfRangeError,
-)
+from icdkit.errors import InvalidFormatError
 from icdkit.codes import IcdCode
 from icdkit.retrieval import (
     EmbeddingIndex,
@@ -94,15 +87,15 @@ class TestBuildIndex:
         assert index.dim == 2
 
     def test_missing_vector(self):
-        with pytest.raises(MissingVectorError, match="entry 2"):
+        with pytest.raises(InvalidFormatError, match="^no vector for entry 2 "):
             build_index(tiny_dictionary(3), {0: [0.0], 1: [1.0]}.items())
 
     def test_nan_component(self):
-        with pytest.raises(NonFiniteValueError):
+        with pytest.raises(InvalidFormatError, match="^embedding matrix contains non-finite values$"):
             build_index(tiny_dictionary(2), {0: [0.0], 1: [float("nan")]}.items())
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidFormatError, match="^entry 1: expected dim 2, got 1$"):
             build_index(tiny_dictionary(2), {0: [0.0, 1.0], 1: [1.0]}.items())
 
     def test_duplicate_vector_id(self):
@@ -155,12 +148,12 @@ class TestRetrieve:
 
     def test_query_dimension_mismatch(self):
         index = build_index(tiny_dictionary(2), {0: [0.0, 1.0], 1: [1.0, 0.0]}.items())
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidFormatError, match=r"^query dim \(1,\) does not match index dim 2$"):
             retrieve(index, [1.0], k=1)
 
     def test_non_finite_query(self):
         index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]}.items())
-        with pytest.raises(NonFiniteValueError):
+        with pytest.raises(InvalidFormatError, match="^query contains non-finite values$"):
             retrieve(index, [float("inf")], k=1)
 
     def test_k_larger_than_index(self):
@@ -439,11 +432,11 @@ class TestCandidateExport:
         assert str(resolved["m1"]) == "H10.0"
 
     def test_selection_out_of_range(self):
-        with pytest.raises(SelectionOutOfRangeError):
+        with pytest.raises(InvalidFormatError, match="^m1: selected rank 16 of 15 candidates$"):
             import_selection([self.record], [{"mention_id": "m1", "selected_rank": 16}])
 
     def test_selection_below_one(self):
-        with pytest.raises(SelectionOutOfRangeError):
+        with pytest.raises(InvalidFormatError, match="^m1: selected rank 0 of 15 candidates$"):
             import_selection([self.record], [{"mention_id": "m1", "selected_rank": 0}])
 
     @pytest.mark.parametrize("bad_rank", ["2", 2.0, True])
@@ -452,7 +445,7 @@ class TestCandidateExport:
             import_selection([self.record], [{"mention_id": "m1", "selected_rank": bad_rank}])
 
     def test_unknown_mention(self):
-        with pytest.raises(DataError):
+        with pytest.raises(InvalidFormatError, match="^selection references unknown mention_id 'zzz'$"):
             import_selection([self.record], [{"mention_id": "zzz", "selected_rank": 1}])
 
     def test_baseline_picks_rank_one(self):
