@@ -42,7 +42,7 @@ from icdkit.diagnosis import (
     weighted_f1,
 )
 from icdkit.errors import ConfigError, InvalidFormatError
-from icdkit.jsonl import dump_jsonl, read_jsonl, read_unique, typed_field
+from icdkit.jsonl import dump_jsonl, read_jsonl, read_text, read_unique
 from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 
@@ -80,10 +80,10 @@ class RunConfig:
     def load(cls, config_path: str | Path) -> "RunConfig":
         config_path = Path(config_path)
         try:
-            raw = json.loads(config_path.read_text(encoding="utf-8"))
+            raw = json.loads(read_text(config_path))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {config_path}") from exc
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
@@ -100,7 +100,10 @@ class RunConfig:
         if unknown_paths:
             raise ConfigError(f"unknown path keys: {sorted(unknown_paths)}")
         base = config_path.parent
-        paths = {key: (base / value).resolve() for key, value in paths_raw.items()}
+        try:
+            paths = {key: (base / value).resolve() for key, value in paths_raw.items()}
+        except ValueError as exc:  # a NUL byte or a lone surrogate
+            raise ConfigError(f"cannot resolve config paths: {exc}") from exc
         unknown_options = set(options_raw) - set(Options.__dataclass_fields__)
         if unknown_options:
             raise ConfigError(f"unknown option keys: {sorted(unknown_options)}")
@@ -165,19 +168,20 @@ def _query_row(row: dict, dim: int) -> dict:
         "mention_id": row["mention_id"],
         "mention": row.get("mention", ""),
         "vector": vector,
-        "gold": parse_code(gold) if gold else None,
+        "gold": None if gold is None else parse_code(gold),
     }
 
 
 def _candidate_row(row: dict) -> dict:
     # only the keys baseline_selection and import_selection index, every code checked here
     return {"mention_id": row["mention_id"],
-            "candidates": [{"code": str(parse_code(cand["code"]))} for cand in row["candidates"]]}
+            "candidates": [{"code": parse_code(cand["code"])} for cand in row["candidates"]]}
 
 
-def _selection_row(row: dict) -> dict:
-    return {"mention_id": row["mention_id"],
-            "selected_rank": typed_field(row, "selected_rank", int)}
+def _selection_row(row: dict, by_mention: Mapping[str, list]) -> dict:
+    from icdkit.retrieval import selected_candidate
+    selected_candidate(by_mention, row)  # here, so that its error names the selection line
+    return row
 
 
 def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -188,11 +192,11 @@ def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
         parsed_rows.append({
             "doc_id": doc.doc_id,
             "entities": [
-                {"start": span.start, "end": span.end, "text": span.surface, "code": str(code)}
+                {"start": span.start, "end": span.end, "text": span.surface, "code": code}
                 for span, code in doc.entities
             ],
         })
-        code_rows.append({"doc_id": doc.doc_id, "codes": [str(code) for code in doc.codes()]})
+        code_rows.append({"doc_id": doc.doc_id, "codes": doc.codes()})
     results = {
         "n_records": len(docs),
         "n_entities": sum(len(doc.entities) for doc in docs),
@@ -202,8 +206,7 @@ def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def cmd_stats(config: RunConfig) -> tuple[dict, dict[str, str]]:
-    stats = vars(corpus_stats(read_corpus_dir(config.path("corpus_dir"))))
-    return {**stats, "code_frequency": {str(code): n for code, n in stats["code_frequency"].items()}}, {}
+    return vars(corpus_stats(read_corpus_dir(config.path("corpus_dir")))), {}
 
 
 def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -253,16 +256,8 @@ def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[dict], list]:
 def cmd_retrieve(config: RunConfig) -> tuple[dict, dict[str, str]]:
     from icdkit.retrieval import acc_at_k
     _, queries, ranked = _run_retrieval(config)
-    rows = [
-        {
-            "mention_id": query["mention_id"],
-            "hits": [
-                {"entry_id": hit.entry_id, "code": str(hit.code), "distance": hit.distance}
-                for hit in cands.hits
-            ],
-        }
-        for query, cands in zip(queries, ranked)
-    ]
+    rows = [{"mention_id": query["mention_id"], "hits": [vars(hit) for hit in cands.hits]}
+            for query, cands in zip(queries, ranked)]
     results: dict = {"n_queries": len(queries), "k": config.options.k,
                      "files": {"hits": "retrieved.jsonl"}}
     labelled = [(cands, query["gold"]) for query, cands in zip(queries, ranked) if query["gold"]]
@@ -330,17 +325,17 @@ def cmd_eval_dp(config: RunConfig) -> tuple[dict, dict[str, str]]:
         "n_records": len(records),
         "label_space_size": len(space),
         "weighted_f1": weighted_f1(per_class.scores, space),
-        "per_class_f1": {str(code): per_class.scores[code] for code in space.codes},
-        "no_support_codes": sorted(str(code) for code in per_class.no_support),
-        "zero_weight_codes": [str(code) for code in space.zero_count_codes],
+        "per_class_f1": {code: per_class.scores[code] for code in space.codes},
+        "no_support_codes": sorted(per_class.no_support),
+        "zero_weight_codes": space.zero_count_codes,
         "dropped_predicted": restriction.dropped_predicted,
         "dropped_gold": restriction.dropped_gold,
         "micro_confusion": {**asdict(confusion), "total": len(restriction.records) * len(space)},
         "frequency_split": {
             "fraction": config.options.fraction,
             "min_count": config.options.min_count,
-            "top": [str(code) for code in top],
-            "bottom": [str(code) for code in bottom],
+            "top": top,
+            "bottom": bottom,
             # group confusion counts TN over the sub-space, not the full space
             "top_confusion": asdict(micro_confusion(restriction.records, top)),
             "bottom_confusion": asdict(micro_confusion(restriction.records, bottom)),
@@ -369,14 +364,14 @@ def cmd_import_selection(config: RunConfig) -> tuple[dict, dict[str, str]]:
     if baseline:
         selections = baseline_selection(candidate_records)
     else:
-        selections = read_unique(selection_path, _selection_row, "mention_id")
+        by_mention = {rec["mention_id"]: rec["candidates"] for rec in candidate_records}
+        selections = read_unique(selection_path, lambda row: _selection_row(row, by_mention), "mention_id")
     resolved = import_selection(candidate_records, selections)
-    rows = [{"mention_id": mention_id, "code": str(code)}
-            for mention_id, code in resolved.items()]
+    rows = [{"mention_id": mention_id, "code": code} for mention_id, code in resolved.items()]
     results = {
         "n_mentions": len(resolved),
         "baseline_rank1": baseline,
-        "selected": {mention_id: str(code) for mention_id, code in resolved.items()},
+        "selected": resolved,
         "files": {"resolved": "resolved.jsonl"},
     }
     return results, {"resolved.jsonl": dump_jsonl(rows)}

@@ -2,7 +2,9 @@
 
 A code is a Latin capital chapter letter, two group digits, and an
 optional 1-2 digit subcode after the dot (``H10``, ``H10.0``, ``E11.9``).
-Truncating a code to its disease group drops the subcode.
+An :class:`IcdCode` is a ``str`` equal to that canonical text, so it hashes,
+sorts and serializes as the text. Truncating a code to its disease group
+drops the subcode.
 """
 
 from __future__ import annotations
@@ -21,40 +23,36 @@ _CODE_RE = re.compile(r"^([A-Z])(\d{2})(?:\.(\d{1,2}))?$")
 _WS_RE = re.compile(r"\s+")
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class IcdCode:
-    """A validated ICD-10 code. Immutable and hashable.
+class IcdCode(str):
+    """A validated ICD-10 code: a ``str`` whose value is its canonical text.
 
-    Codes order lexicographically by their canonical text rendering, so
-    ``H10 < H10.0 < H11`` and sorting is stable across runs.
+    It hashes, compares and sorts as that text, so ``H10 < H10.0 < H11``
+    and ``IcdCode("H", "10") == "H10"``.
     """
 
-    chapter: str
-    group: str
-    subcode: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # the generated dataclass hash, computed once: sets and Counters of
-        # codes hash every member on every operation
-        object.__setattr__(self, "_hash", hash((self.chapter, self.group, self.subcode)))
+    def __new__(cls, chapter: str, group: str, subcode: str | None = None) -> "IcdCode":
+        text = f"{chapter}{group}" if subcode is None else f"{chapter}{group}.{subcode}"
+        if _CODE_RE.fullmatch(text) is None:
+            raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
+        return super().__new__(cls, text)
 
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def chapter(self) -> str:
+        return self[0]
 
-    def __reduce__(self) -> tuple:
-        # str hashes differ between processes, so a pickle must not carry _hash
-        return IcdCode, (self.chapter, self.group, self.subcode)
+    @property
+    def group(self) -> str:
+        return self[1:3]
 
-    def __str__(self) -> str:
-        if self.subcode is None:
-            return f"{self.chapter}{self.group}"
-        return f"{self.chapter}{self.group}.{self.subcode}"
+    @property
+    def subcode(self) -> str | None:
+        return self[4:] or None
 
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, IcdCode):
-            return NotImplemented
-        return str(self) < str(other)
+    def __getnewargs__(self) -> tuple[str, str, str | None]:
+        # pickle and copy rebuild through __new__, so a loaded code is validated again
+        return self.chapter, self.group, self.subcode
 
 
 def parse_code(text: str) -> IcdCode:
@@ -62,8 +60,7 @@ def parse_code(text: str) -> IcdCode:
 
     Surrounding whitespace is tolerated; anything else that deviates from
     ``<letter><dd>`` or ``<letter><dd>.<d[d]>`` raises
-    :class:`InvalidFormatError`. Rendering the result with ``str()``
-    reproduces the canonical form.
+    :class:`InvalidFormatError`. The result equals the stripped text.
     """
     if not isinstance(text, str):
         raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
@@ -78,8 +75,7 @@ def _parse_text(text: str) -> IcdCode:
     m = _CODE_RE.match(stripped)
     if m is None:
         raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
-    chapter, group, subcode = m.groups()
-    return IcdCode(chapter, group, subcode)
+    return IcdCode(*m.groups())
 
 
 def truncate_to_group(code: IcdCode) -> IcdCode:
@@ -89,7 +85,7 @@ def truncate_to_group(code: IcdCode) -> IcdCode:
     """
     if code.subcode is None:
         return code
-    return IcdCode(code.chapter, code.group, None)
+    return IcdCode(code.chapter, code.group)
 
 
 def normalize_name(name: str) -> str:

@@ -78,7 +78,7 @@ def build_label_space(
     if zero:
         warnings.warn(
             f"{len(zero)} label-space code(s) have zero training count and weight 0: "
-            + ", ".join(str(code) for code in zero[:5]),
+            + ", ".join(zero[:5]),
             stacklevel=2,
         )
     return LabelSpace(ordered, weights, zero)

@@ -229,7 +229,7 @@ def export_candidates(
         "candidates": [
             {
                 "rank": rank,
-                "code": str(hit.code),
+                "code": hit.code,
                 "name": dictionary.entry(hit.entry_id).name,
                 "distance": hit.distance,
             }
@@ -253,14 +253,17 @@ def import_selection(
     within its candidate list; anything else raises :class:`InvalidFormatError`.
     """
     by_mention = {rec["mention_id"]: rec["candidates"] for rec in candidate_records}
-    resolved: dict[str, IcdCode] = {}
-    for selection in selections:
-        mention_id = selection["mention_id"]
-        if mention_id not in by_mention:
-            raise InvalidFormatError(f"selection references unknown mention_id {mention_id!r}")
-        rank = typed_field(selection, "selected_rank", int)
-        candidates = by_mention[mention_id]
-        if rank < 1 or rank > len(candidates):
-            raise InvalidFormatError(f"{mention_id}: selected rank {rank} of {len(candidates)} candidates")
-        resolved[mention_id] = parse_code(candidates[rank - 1]["code"])
-    return resolved
+    return {selection["mention_id"]: parse_code(selected_candidate(by_mention, selection)["code"])
+            for selection in selections}
+
+
+def selected_candidate(by_mention: Mapping[str, Sequence[Mapping]], selection: Mapping) -> Mapping:
+    """The candidate ``selection`` names; an unknown mention or a rank off the list raises."""
+    rank = typed_field(selection, "selected_rank", int)
+    mention_id = selection["mention_id"]
+    if mention_id not in by_mention:
+        raise InvalidFormatError(f"selection references unknown mention_id {mention_id!r}")
+    candidates = by_mention[mention_id]
+    if rank < 1 or rank > len(candidates):
+        raise InvalidFormatError(f"{mention_id}: selected rank {rank} of {len(candidates)} candidates")
+    return candidates[rank - 1]

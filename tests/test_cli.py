@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icdkit import __version__
-from icdkit.cli import main
+from icdkit.cli import RunConfig, main
+from icdkit.errors import ConfigError
 from icdkit.corpus import read_corpus_dir
 
 from conftest import write_config
@@ -263,6 +266,25 @@ class TestRetrievalCommands:
         assert run_cli("import-selection", sel_cfg) == 3
         assert "rank 99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"mention_id": "zzz", "selected_rank": 1}, "selection references unknown mention_id 'zzz'"),
+        ({"mention_id": "m2", "selected_rank": 2}, "m2: selected rank 2 of 1 candidates"),
+    ], ids=["unknown-mention", "rank-past-list"])
+    def test_selection_errors_name_file_and_line(self, tmp_path, capsys, bad, message):
+        candidates = tmp_path / "candidates.jsonl"
+        candidates.write_text("".join(
+            json.dumps({"mention_id": m, "candidates": [{"rank": 1, "code": "J00"}]}) + "\n"
+            for m in ("m1", "m2")), encoding="utf-8")
+        selection = tmp_path / "selection.jsonl"
+        selection.write_text(json.dumps({"mention_id": "m1", "selected_rank": 1}) + "\n"
+                             + json.dumps(bad) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", {
+            "candidates": candidates, "selection": selection, "output_dir": tmp_path / "out",
+        })
+        assert run_cli("import-selection", cfg) == 3
+        assert capsys.readouterr().err == f"error: {selection.resolve()}:2: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvalNer:
     def test_perfect_spans(self, tmp_path, corpus_dir):
@@ -458,6 +480,12 @@ class TestMalformedRows:
                                         '{"record_id": "r2", "annotators": [["J00"], ["J00"], []]}'),
         ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, 2.0]}\n'
                                 '{"mention_id": "q2", "vector": [1.0, 2.0, 3.0], "gold": "J00"}'),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, 2.0], "gold": 0}'),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, 2.0], "gold": false}'),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, 2.0], "gold": ""}'),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, 2.0], "gold": []}'),
+        ("import-selection", "selection", '{"mention_id": "zzz", "selected_rank": 1}'),
+        ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": 2}'),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
             "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
@@ -467,7 +495,9 @@ class TestMalformedRows:
             "id-bool", "rank-string", "rank-float", "rank-bool", "txt-cp1251", "ann-cp1251",
             "jsonl-cp1251", "deep-nesting", "queries-repeated-mention-id",
             "candidates-repeated-mention-id", "selection-repeated-mention-id",
-            "records-repeated-record-id", "one-annotator", "annotator-count-changes", "query-dim"])
+            "records-repeated-record-id", "one-annotator", "annotator-count-changes", "query-dim",
+            "gold-zero", "gold-false", "gold-empty-string", "gold-empty-list",
+            "selection-unknown-mention", "selection-rank-past-list"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         good = {
@@ -565,6 +595,42 @@ class TestConfigHandling:
         cfg.write_text(json.dumps(body), encoding="utf-8")
         assert run_cli("stats", cfg) == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", [
+        (b"[" * 100_000, "cannot read config {cfg}: maximum recursion depth exceeded"),
+        (b'{"paths": {"corpus_dir": "\xff"}}',
+         "cannot read config {cfg}: {cfg}:1: not UTF-8: invalid start byte (byte 0xff at offset 26)"),
+        (b'{"paths": {"corpus_dir": "a\\u0000b"}}', "cannot resolve config paths: embedded null byte"),
+    ], ids=["deep-nesting", "not-utf8", "nul-in-path"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        assert run_cli("stats", cfg) == 2
+        assert capsys.readouterr().err.startswith("config error: " + message.format(cfg=cfg))
+
+    def test_bom_config_reads_like_the_plain_one(self, tmp_path, corpus_dir):
+        plain = write_config(tmp_path / "cfg.json", {"corpus_dir": corpus_dir, "output_dir": tmp_path / "o"})
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert run_cli("stats", bom) == 0
+        assert load_report(tmp_path / "o", "stats")["config_hash"] == RunConfig.load(plain).hash()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.dictionaries(st.sampled_from(["paths", "options", "other"]), st.one_of(
+            st.dictionaries(st.sampled_from(["corpus_dir", "output_dir", "k", "quorum", "x"]),
+                            st.one_of(st.text(max_size=8), st.integers(), st.floats(), st.booleans(),
+                                      st.none())),
+            st.integers(), st.text(max_size=4))).map(lambda d: json.dumps(d).encode("utf-8")),
+    ))
+    def test_load_raises_only_config_error(self, tmp_path_factory, data):
+        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg.write_bytes(data)
+        try:
+            RunConfig.load(cfg)
+        except ConfigError:
+            pass
 
     def test_missing_required_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {"output_dir": tmp_path / "o"})

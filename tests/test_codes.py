@@ -1,6 +1,6 @@
 """Tests for ICD code parsing, truncation, and the dictionary."""
 
-import dataclasses
+import copy
 import pickle
 import string
 
@@ -80,22 +80,33 @@ class TestParseCode:
     def test_render_parse_round_trip(self, code):
         assert parse_code(str(code)) == code
 
-    def test_hash_equals_the_field_tuple_hash(self):
-        # set and Counter iteration order, and so every report, follow this hash
-        parsed = parse_code("H10")
-        truncated = truncate_to_group(parse_code("H10.3"))
-        assert parsed == truncated and parsed is not truncated
-        assert hash(parsed) == hash(truncated) == hash(("H", "10", None))
-        assert hash(parse_code("H10.3")) == hash(("H", "10", "3"))
-        assert [f.name for f in dataclasses.fields(IcdCode)] == ["chapter", "group", "subcode"]
-        assert repr(parsed) == "IcdCode(chapter='H', group='10', subcode=None)"
+    def test_code_is_its_canonical_text(self):
+        # set and Counter iteration order, and so every report, follow the text's hash
+        for code in (parse_code("H10"), truncate_to_group(parse_code("H10.3")), parse_code("E11.9")):
+            assert code == str(code)
+            assert hash(code) == hash(str(code))
+            assert type(str(code)) is str
+        assert IcdCode("H", "10") == "H10" and repr(IcdCode("H", "10", "3")) == "'H10.3'"
 
-    def test_pickle_recomputes_the_hash(self):
-        # str hashes differ between processes; a stale cached hash stands in
-        code = IcdCode("H", "10", "3")
-        object.__setattr__(code, "_hash", 12345)
-        loaded = pickle.loads(pickle.dumps(code))
-        assert loaded == code and hash(loaded) == hash(("H", "10", "3"))
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("text", ["H10", "E11.9", "A00.01"])
+    def test_pickle_and_deepcopy_rebuild_the_code(self, protocol, text):
+        code = parse_code(text)
+        for loaded in (pickle.loads(pickle.dumps(code, protocol=protocol)), copy.deepcopy(code)):
+            assert type(loaded) is IcdCode and loaded == code
+            assert (loaded.chapter, loaded.group, loaded.subcode) == (code.chapter, code.group, code.subcode)
+
+    @pytest.mark.parametrize("parts", [("h", "10"), ("H", "1"), ("H", "10", "123"), ("H", "10", ""),
+                                       ("H", "10", "1\n")])
+    def test_construction_from_bad_parts_raises(self, parts):
+        with pytest.raises(InvalidFormatError, match="^not an ICD-10 code: "):
+            IcdCode(*parts)
+
+    def test_instances_have_no_dict(self):
+        code = parse_code("H10.3")
+        assert not hasattr(code, "__dict__")
+        with pytest.raises(AttributeError):
+            code.extra = 1
 
     def test_lexicographic_ordering(self):
         codes = [parse_code(t) for t in ["H11", "H10.0", "H10", "E11.9"]]
