@@ -42,7 +42,7 @@ from icdkit.diagnosis import (
     weighted_f1,
 )
 from icdkit.errors import ConfigError, InvalidFormatError
-from icdkit.jsonl import dump_jsonl, read_jsonl, read_text, read_unique
+from icdkit.jsonl import dump_jsonl, parse_json, read_jsonl, read_text, read_unique
 from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 
@@ -80,10 +80,10 @@ class RunConfig:
     def load(cls, config_path: str | Path) -> "RunConfig":
         config_path = Path(config_path)
         try:
-            raw = json.loads(read_text(config_path))
+            raw = parse_json(read_text(config_path))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {config_path}") from exc
-        except (OSError, ValueError, RecursionError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")

@@ -1,6 +1,6 @@
 """ICD-10 codes and the code -> disease-name dictionary.
 
-A code is a Latin capital chapter letter, two group digits, and an
+A code is a Latin capital chapter letter, two ASCII group digits, and an
 optional 1-2 digit subcode after the dot (``H10``, ``H10.0``, ``E11.9``).
 An :class:`IcdCode` is a ``str`` equal to that canonical text, so it hashes,
 sorts and serializes as the text. Truncating a code to its disease group
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_lines
 
-_CODE_RE = re.compile(r"^([A-Z])(\d{2})(?:\.(\d{1,2}))?$")
+_CODE_RE = re.compile(r"^([A-Z])([0-9]{2})(?:\.([0-9]{1,2}))?$")
 _WS_RE = re.compile(r"\s+")
 
 

@@ -21,8 +21,8 @@ from icdkit.codes import IcdCode, parse_code
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import frame_lines, read_text
 
-_T_LINE_RE = re.compile(r"^(T\d+)\t(\S+) (\d+) (\d+)\t(.*)$")
-_N_LINE_RE = re.compile(r"^(N\d+)\t(\S+) (T\d+) ([^:\t]+):(\S+)(?:\t(.*))?$")
+_T_LINE_RE = re.compile(r"^(T[0-9]+)\t(\S+) ([0-9]+) ([0-9]+)\t(.*)$")
+_N_LINE_RE = re.compile(r"^(N[0-9]+)\t(\S+) (T[0-9]+) ([^:\t]+):(\S+)(?:\t(.*))?$")
 
 
 @dataclass(frozen=True)

@@ -192,12 +192,18 @@ def acc_at_k(
     return hits / total if total else 0.0
 
 
+_JSON_NUMBERS = frozenset({int, float})
+
+
 def as_vector(values: object) -> np.ndarray:
-    """One embedding as a float64 array; raises ValueError unless flat and finite."""
-    vector = np.array(values, dtype=np.float64)
-    if vector.ndim != 1 or not np.isfinite(vector).all():
-        raise ValueError("vector must be a flat list of finite numbers")
-    return vector
+    """One embedding, a JSON list of numbers, as a float64 array; raises
+    ValueError for anything else, a string or ``true`` component too."""
+    # np.array converts "1.0" and True, so each component's type is tested;
+    # issuperset stops at the first other type and builds no set. The JSON
+    # reader admits no NaN or infinity, and build_index and retrieve reject them.
+    if type(values) is not list or not _JSON_NUMBERS.issuperset(map(type, values)):
+        raise ValueError("vector must be a flat list of numbers")
+    return np.array(values, dtype=np.float64)
 
 
 def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:

@@ -266,6 +266,21 @@ class TestRetrievalCommands:
         assert run_cli("import-selection", sel_cfg) == 3
         assert "rank 99" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["retrieve", "export-candidates"])
+    def test_distance_overflow_writes_no_infinity(self, tmp_path, capsys, command):
+        # finite components whose squared distance overflows to inf, which
+        # no strict JSON reader, icdkit's included, takes back
+        paths = {"dictionary": tmp_path / "dictionary.tsv", "embeddings": tmp_path / "embeddings.jsonl",
+                 "queries": tmp_path / "queries.jsonl", "output_dir": tmp_path / "out"}
+        paths["dictionary"].write_text("J00\tcold\n", encoding="utf-8")
+        paths["embeddings"].write_text('{"id": 0, "vector": [1e200, 1e200]}\n', encoding="utf-8")
+        paths["queries"].write_text('{"mention_id": "q1", "vector": [-1e200, -1e200]}\n',
+                                    encoding="utf-8")
+        assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 3
+        assert "error: Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bad, message", [
         ({"mention_id": "zzz", "selected_rank": 1}, "selection references unknown mention_id 'zzz'"),
         ({"mention_id": "m2", "selected_rank": 2}, "m2: selected rank 2 of 1 candidates"),
@@ -486,6 +501,12 @@ class TestMalformedRows:
         ("retrieve", "queries", '{"mention_id": "q1", "vector": [1.0, 2.0], "gold": []}'),
         ("import-selection", "selection", '{"mention_id": "zzz", "selected_rank": 1}'),
         ("import-selection", "selection", '{"mention_id": "m1", "selected_rank": 2}'),
+        ("retrieve", "embeddings", '{"id": 0, "vector": ["1.0", 2.0]}'),
+        ("retrieve", "embeddings", '{"id": 0, "vector": [true, 2.0]}'),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": ["1.0", 2.0]}'),
+        ("retrieve", "queries", '{"mention_id": "q1", "vector": [true, 2.0]}'),
+        ("export-candidates", "queries", '{"mention_id": "q1", "mention": "\\ud800", "vector": [1.0, 2.0]}'),
+        ("retrieve", "embeddings", '{"id": %d, "vector": [1.0, 2.0]}' % 2**64),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
             "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
@@ -497,15 +518,19 @@ class TestMalformedRows:
             "candidates-repeated-mention-id", "selection-repeated-mention-id",
             "records-repeated-record-id", "one-annotator", "annotator-count-changes", "query-dim",
             "gold-zero", "gold-false", "gold-empty-string", "gold-empty-list",
-            "selection-unknown-mention", "selection-rank-past-list"])
+            "selection-unknown-mention", "selection-rank-past-list", "vector-string-component",
+            "vector-bool-component", "query-string-component", "query-bool-component",
+            "mention-lone-surrogate", "id-beyond-64-bits"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
+        retrieval = {
+            "dictionary": "J00\tcold",
+            "embeddings": '{"id": 0, "vector": [1.0, 2.0]}',
+            "queries": '{"mention_id": "q1", "vector": [1.0, 2.0], "gold": "J00"}',
+        }
         good = {
-            "retrieve": {
-                "dictionary": "J00\tcold",
-                "embeddings": '{"id": 0, "vector": [1.0, 2.0]}',
-                "queries": '{"mention_id": "q1", "vector": [1.0, 2.0], "gold": "J00"}',
-            },
+            "retrieve": retrieval,
+            "export-candidates": retrieval,
             "eval-dp": {
                 "records": '{"record_id": "r1", "gold": ["J00"], "predicted": ["J00"]}',
                 "training_counts": "J00\t3",
@@ -572,6 +597,28 @@ class TestMalformedRows:
         assert f"{(corpus / 'd1.ann').resolve()}:{lineno}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("nested, exit_code", [
+        ("[" * 200_000 + "]" * 200_000, 3),
+        ('{"paths": ' + '{"a": ' * 200_000 + "1" + "}" * 200_001, 2),
+    ], ids=["jsonl-row", "config"])
+    def test_deep_valid_json_is_an_error_not_a_crash(self, tmp_path, nested, exit_code):
+        # in a child process: orjson alone overflows the C stack on this and kills it
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"doc_id": "d1", "codes": ["J00"]}\n', encoding="utf-8")
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text(nested + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", {"gold": gold, "predictions": predictions,
+                                                   "output_dir": tmp_path / "out"})
+        if exit_code == 2:
+            cfg.write_text(nested, encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        result = subprocess.run([sys.executable, "-m", "icdkit.cli", "eval-coding", "--config", str(cfg)],
+                                capture_output=True, text=True, env=env, timeout=60)
+        where = (f"config error: cannot read config {cfg}" if exit_code == 2
+                 else f"error: {predictions.resolve()}:1")
+        assert result.returncode == exit_code
+        assert result.stderr == f"{where}: JSON nested deeper than 1000 levels\n"
+
 
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -597,11 +644,12 @@ class TestConfigHandling:
         assert "must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("data, message", [
-        (b"[" * 100_000, "cannot read config {cfg}: maximum recursion depth exceeded"),
+        (b"[" * 100_000, "cannot read config {cfg}: JSON nested deeper than 1000 levels"),
         (b'{"paths": {"corpus_dir": "\xff"}}',
          "cannot read config {cfg}: {cfg}:1: not UTF-8: invalid start byte (byte 0xff at offset 26)"),
         (b'{"paths": {"corpus_dir": "a\\u0000b"}}', "cannot resolve config paths: embedded null byte"),
-    ], ids=["deep-nesting", "not-utf8", "nul-in-path"])
+        (b'{"options": {"fraction": NaN}}', "cannot read config {cfg}: unexpected character"),
+    ], ids=["deep-nesting", "not-utf8", "nul-in-path", "nan"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, data, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(data)

@@ -56,9 +56,10 @@ class TestParseCode:
             parse_code("10H.x")
 
     @pytest.mark.parametrize("bad", ["", "   ", "H1", "H100", "h10", "Н10", "H10.", "H10.123", "AA10",
-                                     5, None, ["H10"]])
+                                     5, None, ["H10"], "H١٠.٣", "H１０"])
     def test_rejects_wrong_shapes(self, bad):
-        # "Н10" uses a Cyrillic letter, which must not pass for Latin H
+        # "Н10" uses a Cyrillic letter, which must not pass for Latin H, and
+        # "H١٠.٣" and "H１０" Arabic-Indic and fullwidth digits, not ASCII ones
         with pytest.raises(InvalidFormatError):
             parse_code(bad)
 
@@ -97,7 +98,7 @@ class TestParseCode:
             assert (loaded.chapter, loaded.group, loaded.subcode) == (code.chapter, code.group, code.subcode)
 
     @pytest.mark.parametrize("parts", [("h", "10"), ("H", "1"), ("H", "10", "123"), ("H", "10", ""),
-                                       ("H", "10", "1\n")])
+                                       ("H", "10", "1\n"), ("H", "١٠")])
     def test_construction_from_bad_parts_raises(self, parts):
         with pytest.raises(InvalidFormatError, match="^not an ICD-10 code: "):
             IcdCode(*parts)

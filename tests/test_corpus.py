@@ -139,7 +139,11 @@ class TestParseBrat:
         ("T1\tDisease 0 7\tанемия-\nN1\tReference T9 ICD10:J00\tx\n", "reference to missing T9"),
         ("T1\tDisease 0 7\tанемия-\nT2\tDisease 0 7\tанемия+\n", "surface 'анемия+' != text slice 'анемия-'"),
         ("T1\tDisease 0 7\tанемия-\nN1\tReference\n", "malformed N line: 'N1\\tReference'"),
-    ], ids=["bad-code", "dangling", "surface", "malformed-n"])
+        # int("٣") == 3, so Arabic-Indic digits would pass for offsets 0-3
+        ("T1\tDisease 0 7\tанемия-\nT2\tDisease ٠ ٣\tане\n", "malformed T line: 'T2\\tDisease ٠ ٣\\tане'"),
+        ("T1\tDisease 0 7\tанемия-\nN1\tReference T١ ICD10:J00\tx\n",
+         "malformed N line: 'N1\\tReference T١ ICD10:J00\\tx'"),
+    ], ids=["bad-code", "dangling", "surface", "malformed-n", "non-ascii-offsets", "non-ascii-t-id"])
     def test_errors_name_ann_file_and_line(self, tmp_path, ann, message):
         for doc_id in ("d0", "d1"):
             (tmp_path / f"{doc_id}.txt").write_text(TEXT, encoding="utf-8")

@@ -1,16 +1,22 @@
 """Tests for the one line rule every JSONL, TSV and .ann input is read by."""
 
+import json
+import math
 import re
 import shutil
+import struct
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icdkit.codes import read_dictionary_tsv
 from icdkit.coding import read_code_predictions
 from icdkit.corpus import read_corpus_dir
 from icdkit.diagnosis import read_training_counts_tsv
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import read_jsonl, read_lines
+from icdkit.jsonl import MAX_DEPTH, parse_json, read_jsonl, read_lines, typed_field
 
 BOM = b"\xef\xbb\xbf"
 
@@ -68,7 +74,7 @@ class TestReadLines:
     def test_comment_line_in_jsonl_is_a_data_error(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('# note\n{"a": 1}\n', encoding="utf-8")
-        with pytest.raises(InvalidFormatError, match=":1: Expecting value"):
+        with pytest.raises(InvalidFormatError, match=":1: unexpected character"):
             list(read_jsonl(path, dict))
 
 
@@ -102,3 +108,88 @@ class TestByteOrderMark:
         assert doc.text.startswith("\ufeff")
         assert (span.start, span.end, str(code)) == (1, 7, "D50.9")
         assert doc.text[span.start:span.end] == span.surface == "анемия"
+
+
+def _bits(value):
+    """A parsed JSON scalar with its type, floats as their IEEE 754 bytes."""
+    return type(value), struct.pack("<d", value) if type(value) is float else value
+
+
+def _oracle(text: str):
+    """``json.loads(text)``, with an integer outside int64 and uint64 as the float it rounds to."""
+    value = json.loads(text)
+    return float(value) if type(value) is int and not -2**63 <= value < 2**64 else value
+
+
+def _depth(value) -> int:
+    """How deep the first element of each list and object nests, without recursion."""
+    depth = 0
+    while isinstance(value, (list, dict)) and value:
+        value = value[0] if isinstance(value, list) else next(iter(value.values()))
+        depth += 1
+    return depth
+
+
+def _halfway(x: float) -> str:
+    """The exact decimal midway between ``x`` and the next double up."""
+    with localcontext() as ctx:
+        ctx.prec = 1200  # a double's exact expansion has at most 767 significant digits
+        return str((Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+number_texts = st.one_of(
+    finite.map(repr),
+    finite.map(lambda x: format(x, ".9g")),
+    finite.map(lambda x: format(x, ".17g")),
+    # 1-59 significant digits; a leading digit 9 at e307 still stays below the largest double
+    st.builds(lambda sign, digits, exp: f"{sign}{digits[0]}.{digits[1:] or '0'}e{exp}",
+              st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=59),
+              st.integers(-330, 307)),
+    finite.filter(lambda x: abs(x) < 1.7976931348623157e308).map(_halfway),
+)
+
+
+class TestStrictJson:
+    """``orjson.loads`` reads every JSON input; ``json.loads`` is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(number_texts, min_size=1, max_size=20))
+    def test_numbers_read_bit_for_bit_as_json_loads_reads_them(self, tmp_path_factory, texts):
+        path = tmp_path_factory.mktemp("numbers") / "rows.jsonl"
+        path.write_text("".join(f'{{"x": {text}}}\n' for text in texts), encoding="utf-8")
+        got = read_jsonl(path, lambda row: row["x"])
+        assert [_bits(value) for value in got] == [_bits(_oracle(text)) for text in texts]
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", '"\\ud800"', "1e400", "-1e400",
+                                      "9" * 400])
+    def test_what_json_loads_took_is_a_data_error_at_its_line(self, tmp_path, text):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"x": 1}\n{"x": %s}\n' % text, encoding="utf-8")
+        with pytest.raises(InvalidFormatError, match=f"^{re.escape(str(path))}:2: "):
+            read_jsonl(path, lambda row: row["x"])
+
+    def test_integer_beyond_64_bits_is_a_float_so_int_fields_refuse_it(self):
+        assert parse_json(str(2**64 - 1)) == 2**64 - 1
+        assert _bits(parse_json(str(2**64))) == _bits(float(2**64))
+        with pytest.raises(InvalidFormatError, match="id must be int, got 1.8446744073709552e"):
+            typed_field(parse_json('{"id": %d}' % 2**64), "id", int)
+
+    @pytest.mark.parametrize("nested, depth", [
+        ("[" * MAX_DEPTH + "]" * MAX_DEPTH, MAX_DEPTH - 1),
+        ('{"a": ' * MAX_DEPTH + "1" + "}" * MAX_DEPTH, MAX_DEPTH),
+        # brackets inside strings do not nest, and an escaped quote ends no string
+        ("[" * MAX_DEPTH + '"[{\\"[[", ' * MAX_DEPTH + '"\\\\"' + "]" * MAX_DEPTH, MAX_DEPTH),
+        ("[" + ", ".join(['[[{"a": 1}]]'] * 5000) + "]", 4),
+    ], ids=["lists", "objects", "brackets-in-strings", "wide"])
+    def test_max_depth_parses(self, nested, depth):
+        assert _depth(parse_json(nested)) == depth
+
+    @pytest.mark.parametrize("nested", [
+        "[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1),
+        '{"a": ' * (MAX_DEPTH + 1) + "1" + "}" * (MAX_DEPTH + 1),
+        "[" * 100_000,
+    ], ids=["lists", "objects", "unclosed"])
+    def test_deeper_is_a_value_error(self, nested):
+        with pytest.raises(ValueError, match=f"^JSON nested deeper than {MAX_DEPTH} levels$"):
+            parse_json(nested)
