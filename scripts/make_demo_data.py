@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from icdkit.codes import load_dictionary_tsv, merge_synonyms, read_dictionary_tsv
-from icdkit.retrieval import write_embeddings_jsonl
 
 DICTIONARY = """\
 # demo ICD-10 dictionary: CODE<TAB>NAME
@@ -90,7 +89,11 @@ def write_embeddings_and_queries(root: Path, rng: np.random.Generator) -> None:
     for entry in dictionary:
         anchor = anchors.setdefault(str(entry.code), np.round(rng.normal(0, 4.0, dim), 1))
         rows.append((entry.entry_id, (anchor + np.round(rng.normal(0, 0.05, dim), 3)).tolist()))
-    write_embeddings_jsonl(root / "embeddings.jsonl", rows)
+    with open(root / "embeddings.jsonl", "w", encoding="utf-8") as handle:
+        for entry_id, vector in rows:
+            # 9 significant digits give back every float32 bit for bit
+            comps = ", ".join(format(x, ".9g") for x in vector)
+            handle.write('{"id": %d, "vector": [%s]}\n' % (entry_id, comps))
 
     with open(root / "queries.jsonl", "w", encoding="utf-8") as handle:
         for entry_id in (0, 3, 7, 10, 12):

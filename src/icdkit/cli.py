@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -47,7 +48,7 @@ from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 
 if TYPE_CHECKING:  # numpy costs ~0.17 s, so only retrieval steps import retrieval
-    from icdkit.retrieval import EmbeddingIndex
+    from icdkit.retrieval import EmbeddingIndex, RankedCandidates
 
 _PATH_KEYS = frozenset({
     "corpus_dir", "dictionary", "synonyms", "embeddings", "queries",
@@ -242,25 +243,31 @@ def cmd_index(config: RunConfig) -> tuple[dict, dict[str, str]]:
     return results, {}
 
 
-def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[dict], list]:
+def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[tuple[dict, RankedCandidates]]]:
     from icdkit.retrieval import retrieve
     dictionary, index = _load_index(config)
-    queries = read_unique(config.path("queries"), lambda row: _query_row(row, index.dim), "mention_id")
-    ranked = [
-        retrieve(index, query["vector"], config.options.k, query_id=query["mention_id"])
-        for query in queries
-    ]
-    return dictionary, queries, ranked
+
+    def ranked_row(row: dict) -> tuple[dict, RankedCandidates]:
+        query = _query_row(row, index.dim)
+        cands = retrieve(index, query["vector"], config.options.k, query_id=query["mention_id"])
+        # here, so that the error names the query's line: no JSON number holds an infinity
+        for hit in cands.hits:
+            if not math.isfinite(hit.distance):
+                raise InvalidFormatError(f"mention_id {cands.query_id!r}: distance to entry "
+                                         f"{hit.entry_id} overflows a double")
+        return query, cands
+
+    return dictionary, read_unique(config.path("queries"), ranked_row, "mention_id")
 
 
 def cmd_retrieve(config: RunConfig) -> tuple[dict, dict[str, str]]:
     from icdkit.retrieval import acc_at_k
-    _, queries, ranked = _run_retrieval(config)
+    _, ranked = _run_retrieval(config)
     rows = [{"mention_id": query["mention_id"], "hits": [vars(hit) for hit in cands.hits]}
-            for query, cands in zip(queries, ranked)]
-    results: dict = {"n_queries": len(queries), "k": config.options.k,
+            for query, cands in ranked]
+    results: dict = {"n_queries": len(ranked), "k": config.options.k,
                      "files": {"hits": "retrieved.jsonl"}}
-    labelled = [(cands, query["gold"]) for query, cands in zip(queries, ranked) if query["gold"]]
+    labelled = [(cands, query["gold"]) for query, cands in ranked if query["gold"]]
     if labelled:
         ks = sorted({1, 5, config.options.k})
         results["acc_at_k"] = {
@@ -346,11 +353,8 @@ def cmd_eval_dp(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 def cmd_export_candidates(config: RunConfig) -> tuple[dict, dict[str, str]]:
     from icdkit.retrieval import export_candidates
-    dictionary, queries, ranked = _run_retrieval(config)
-    rows = [
-        export_candidates(cands, dictionary, mention=query["mention"])
-        for query, cands in zip(queries, ranked)
-    ]
+    dictionary, ranked = _run_retrieval(config)
+    rows = [export_candidates(cands, dictionary, mention=query["mention"]) for query, cands in ranked]
     results = {"n_mentions": len(rows), "k": config.options.k,
                "files": {"candidates": "candidates.jsonl"}}
     return results, {"candidates.jsonl": dump_jsonl(rows)}

@@ -16,15 +16,22 @@ degrades to that full scan.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from icdkit.codes import IcdCode, IcdDictionary, parse_code, truncate_to_group
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import read_jsonl, typed_field
+from icdkit.jsonl import parse_json, read_lines, typed_field
+
+# An embeddings file this large is parsed by two processes. Below it, the
+# fork and the pipe cost more than the second CPU saves.
+SPLIT_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -150,8 +157,9 @@ def retrieve(
             cand = np.flatnonzero(~(approx > thr))
     else:
         cand = np.arange(len(index))
-    diff = index.matrix[cand] - q
-    dist_sq = (diff * diff).sum(axis=1)
+    with np.errstate(over="ignore"):
+        diff = index.matrix[cand] - q
+        dist_sq = (diff * diff).sum(axis=1)
     # cand ascends by entry id, so a stable argsort keeps id order among exact ties
     order = np.argsort(dist_sq, kind="stable")[:k]
     hits = tuple(
@@ -207,17 +215,94 @@ def as_vector(values: object) -> np.ndarray:
 
 
 def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
-    """Read ``{"id": int, "vector": [floats]}`` rows from a JSONL file."""
-    return read_jsonl(path, lambda row: (typed_field(row, "id", int), as_vector(row["vector"])))
+    """Read ``{"id": int, "vector": [floats]}`` rows from a JSONL file.
+
+    Where ``os.fork`` exists, a file of at least ``SPLIT_BYTES`` is parsed
+    by two processes: this one reads up to the first LF at or after half its
+    bytes, and a forked worker reads the rest. The pairs, their float bits
+    and the error raised are those of a one-process read; an error in the
+    first half is raised before any in the second.
+    """
+    mid = _split_point(path)
+    if mid is None:
+        return read_lines(path, _embedding_row)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # the worker never returns into its caller's code
+            os.close(read_fd)
+            _send_rows(path, mid, write_fd)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            rows = read_lines(path, _embedding_row, stop=mid) + _receive_rows(pipe, path)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # after an error here, a worker still parsing is not waited for
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    return rows
 
 
-def write_embeddings_jsonl(path: str | Path, rows: Iterable[tuple[int, Sequence[float]]]) -> None:
-    """Write embedding rows with 9 significant digits per component, enough
-    for a bit-stable round-trip of 32-bit precision values."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for entry_id, vector in rows:
-            comps = ", ".join(format(float(x), ".9g") for x in vector)
-            handle.write('{"id": %d, "vector": [%s]}\n' % (int(entry_id), comps))
+def _embedding_row(line: str) -> tuple[int, np.ndarray]:
+    row = parse_json(line)
+    return typed_field(row, "id", int), as_vector(row["vector"])
+
+
+def _split_point(path: str | Path) -> int | None:
+    """The offset after the first LF at or after half the file's bytes, or
+    None to read the file in one process: it is smaller than ``SPLIT_BYTES``,
+    there is no ``os.fork``, or no byte follows such an LF."""
+    if not hasattr(os, "fork"):
+        return None
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size < SPLIT_BYTES:
+            return None
+        at = handle.seek(size // 2)
+        while chunk := handle.read(2**16):
+            lf = chunk.find(b"\n")
+            if lf != -1:
+                return at + lf + 1 if at + lf + 1 < size else None
+            at += len(chunk)
+    return None
+
+
+def _send_rows(path: str | Path, start: int, fd: int) -> None:
+    """Parse the file's lines from byte ``start`` on and write to ``fd`` the
+    pickled ids and vector lengths, or the exception raised, then every
+    component as raw float64 bytes."""
+    try:
+        rows = read_lines(path, _embedding_row, start=start)
+        header = pickle.dumps(([entry_id for entry_id, _ in rows], [len(vector) for _, vector in rows]))
+    except Exception as exc:  # the parent raises it as its own
+        rows, header = [], pickle.dumps(exc)
+    with open(fd, "wb") as pipe:
+        pipe.write(len(header).to_bytes(8, "little") + header)
+        for _, vector in rows:
+            pipe.write(vector)
+
+
+def _receive_rows(pipe: BinaryIO, path: str | Path) -> list[tuple[int, np.ndarray]]:
+    """The rows :func:`_send_rows` wrote, as views of one float64 buffer."""
+    size = int.from_bytes(pipe.read(8), "little")
+    header = pipe.read(size)
+    if not size or len(header) < size:
+        raise _worker_lost(path)
+    received = pickle.loads(header)
+    if isinstance(received, Exception):
+        raise received
+    ids, lengths = received
+    flat = np.empty(sum(lengths))
+    if pipe.readinto(flat) < flat.nbytes:
+        raise _worker_lost(path)
+    return list(zip(ids, np.split(flat, np.cumsum(lengths)[:-1])))
+
+
+def _worker_lost(path: str | Path) -> InvalidFormatError:
+    return InvalidFormatError(f"{path}: the process parsing the second half of the file ended without its rows")
 
 
 def export_candidates(

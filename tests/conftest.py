@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 
 from icdkit.codes import load_dictionary_tsv, merge_synonyms, read_dictionary_tsv
-from icdkit.retrieval import write_embeddings_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def write_embeddings_jsonl(path: Path, rows) -> None:
+    """Write ``(entry id, vector)`` rows with 9 significant digits per
+    component, enough for a bit-stable round-trip of float32 values."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for entry_id, vector in rows:
+            comps = ", ".join(format(float(x), ".9g") for x in vector)
+            handle.write('{"id": %d, "vector": [%s]}\n' % (int(entry_id), comps))
 
 
 @pytest.fixture(scope="session")

@@ -65,17 +65,22 @@ def _digest(path: Path, command: str) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_demo_reports_and_artifacts_are_byte_stable(tmp_path, monkeypatch):
+def demo_digests(out: Path, monkeypatch) -> dict[str, str]:
+    """Generate the demo workspace in ``out``, run every subcommand over it and hash what each wrote."""
     spec = importlib.util.spec_from_file_location("make_demo_data", SCRIPT)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
-    monkeypatch.setattr(sys, "argv", ["make_demo_data.py", "--out", str(tmp_path)])
+    monkeypatch.setattr(sys, "argv", ["make_demo_data.py", "--out", str(out)])
     demo.main()
 
     digests = {}
     for command in COMMANDS:
-        assert main([command, "--config", str(tmp_path / f"{command}.json")]) == 0, command
-        out_dir = tmp_path / "out" / command
+        assert main([command, "--config", str(out / f"{command}.json")]) == 0, command
+        out_dir = out / "out" / command
         for path in sorted(out_dir.iterdir()):
             digests[f"{command}/{path.name}"] = _digest(path, command)
-    assert digests == GOLDEN
+    return digests
+
+
+def test_demo_reports_and_artifacts_are_byte_stable(tmp_path, monkeypatch):
+    assert demo_digests(tmp_path, monkeypatch) == GOLDEN

@@ -1,8 +1,12 @@
 """Tests for the embedding index, exact top-k retrieval, and acc@k."""
 
+import contextlib
 import json
 import math
+import os
 import random
+import re
+import signal
 import warnings
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icdkit import retrieval
 from icdkit.codes import load_dictionary, parse_code
 from icdkit.errors import InvalidFormatError
 from icdkit.codes import IcdCode
@@ -24,8 +29,9 @@ from icdkit.retrieval import (
     import_selection,
     load_embeddings_jsonl,
     retrieve,
-    write_embeddings_jsonl,
 )
+from conftest import write_embeddings_jsonl
+from test_golden import GOLDEN, demo_digests
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +398,132 @@ class TestEmbeddingFiles:
         path.write_text('{"id": 0, "vector": [0.0]}\n{"vector": [1.0]}\n', encoding="utf-8")
         with pytest.raises(InvalidFormatError, match=":2"):
             load_embeddings_jsonl(path)
+
+
+@contextlib.contextmanager
+def split_floor(floor):
+    """``retrieval.SPLIT_BYTES`` set to ``floor``; yields a list that gains an item per fork."""
+    forks = []
+    fork = os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "SPLIT_BYTES", floor)
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        yield forks
+
+
+def splits(data):
+    """Whether a byte follows the first LF at or after half of ``data``."""
+    lf = data.find(b"\n", len(data) // 2)
+    return lf != -1 and lf + 1 < len(data)
+
+
+def loaded(path, floor):
+    """The ids and ``float.hex`` components :func:`load_embeddings_jsonl`
+    returns with the split floor at ``floor``, or the class and message of
+    the error it raises. It forks only where the file splits, and leaves
+    no child process behind."""
+    with split_floor(floor) as forks:
+        try:
+            result = [(i, [x.hex() for x in vector.tolist()]) for i, vector in load_embeddings_jsonl(path)]
+        except InvalidFormatError as exc:
+            result = type(exc), str(exc)
+    assert len(forks) == (path.stat().st_size >= floor and splits(path.read_bytes()))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return result
+
+
+IN_PROCESS = 2**63  # a floor no file reaches
+
+
+embedding_lines = st.one_of(
+    *[st.builds(lambda i, v: json.dumps({"id": i, "vector": v}), st.integers(0, 99),
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))] * 3,
+    # a BOM that begins no file is a character, which orjson refuses
+    st.sampled_from(["", " \t", '{"id": 7, "vector": [0.5], "name": "анемия"}', '{"id": "7", "vector": [1]}',
+                     '{"id": 7, "vector": ["1.0"]}', '{"id": 7}', "not json", '\ufeff{"id": 7, "vector": [2]}']),
+)
+
+
+class TestSplitLoad:
+    """A file parsed by two processes reads as one process reads it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.lists(st.tuples(embedding_lines, st.sampled_from(["\n", "\r\n", "\r"])),
+                                   min_size=1, max_size=12), st.booleans())
+    def test_same_rows_bits_and_errors_as_one_process(self, shared_dir, bom, lines, last_break):
+        data = ("\ufeff" if bom else "") + "".join(body + end for body, end in lines)
+        if not last_break:
+            data = data.rstrip("\r\n")
+        path = shared_dir / "split.jsonl"
+        path.write_bytes(data.encode("utf-8"))
+        assert loaded(path, 0) == loaded(path, IN_PROCESS)
+
+    def rows(self, n, ends=("\n",)):
+        return "".join(json.dumps({"id": i, "vector": [i + 0.5, -1e-300]}) + ends[i % len(ends)]
+                       for i in range(n))
+
+    @pytest.mark.parametrize("bad, message", [
+        ('{"id": 21, "vector": "x"}', "vector must be a flat list of numbers"),
+        # a BOM that begins the worker's half begins no file, so it stays a character
+        ('\ufeff{"id": 21, "vector": [1]}', "byte order mark (BOM) is not supported: line 1 column 1 (char 0)"),
+    ], ids=["vector", "bom"])
+    def test_bad_row_in_second_half_names_its_line(self, tmp_path, bad, message):
+        # CRLF, CR, LF and blank lines in the first half count toward the line;
+        # the midpoint falls in a long row, so the bad row begins the second half
+        first = (self.rows(20, ("\r\n", "\r", "\n", "\n\r\n \n"))
+                 + json.dumps({"id": 20, "vector": [0.5] * 400}) + "\n")
+        data = (first + bad + "\n" + " " * (len(first) - 1000) + "\n").encode()
+        assert data.index(b"\n", len(data) // 2) + 1 == len(first)
+        path = tmp_path / "v.jsonl"
+        path.write_bytes(data)
+        assert loaded(path, 0) == loaded(path, IN_PROCESS) == (InvalidFormatError, f"{path}:32: {message}")
+
+    def test_bad_row_in_each_half_names_the_first(self, tmp_path):
+        path = tmp_path / "v.jsonl"
+        path.write_text('{"id": 0}\n' + self.rows(40) + "not json\n", encoding="utf-8")
+        assert loaded(path, 0) == loaded(path, IN_PROCESS) == (InvalidFormatError, f"{path}:1: 'vector'")
+
+    def test_not_utf8_in_second_half_located_like_one_process(self, tmp_path):
+        path = tmp_path / "v.jsonl"
+        path.write_bytes(self.rows(30, ("\r", "\r\n")).encode() + b'{"id": 30, "vector": [1], "n": "\xe0"}\n')
+        kind, message = loaded(path, 0)
+        assert (kind, message) == loaded(path, IN_PROCESS)
+        assert message.startswith(f"{path}:31: not UTF-8: invalid continuation byte")
+
+    def test_worker_leaves_through_os_exit(self, tmp_path, monkeypatch):
+        # os._exit runs no atexit handler and flushes none of the parent's buffers
+        path = tmp_path / "v.jsonl"
+        write_embeddings_jsonl(path, [(i, [float(i)]) for i in range(10)])
+        marker = tmp_path / "exit"
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: marker.write_text(str(code)) and exit_(code))
+        assert loaded(path, 0) == loaded(path, IN_PROCESS)
+        assert marker.read_text() == "0"
+
+    @pytest.mark.parametrize("death", ["killed mid-parse", "dies mid-send"])
+    def test_lost_worker_is_an_error_naming_the_file(self, tmp_path, monkeypatch, death):
+        path = tmp_path / "v.jsonl"
+        write_embeddings_jsonl(path, [(i, [float(i)]) for i in range(10)])
+        parent, as_vector, calls = os.getpid(), retrieval.as_vector, []
+
+        def fails_in_worker(values):
+            calls.append(1)
+            if os.getpid() == parent or len(calls) != 2:
+                return as_vector(values)
+            if death == "killed mid-parse":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return values  # it has a length, but the pipe cannot write it
+
+        monkeypatch.setattr(retrieval, "as_vector", fails_in_worker)
+        kind, message = loaded(path, 0)
+        assert kind is InvalidFormatError
+        assert re.match(f"{re.escape(str(path))}: .* ended without its rows$", message)
+
+    def test_demo_reports_and_artifacts_unchanged(self, tmp_path, monkeypatch):
+        with split_floor(0) as forks:
+            assert demo_digests(tmp_path, monkeypatch) == GOLDEN
+        assert len(forks) == 3  # index, retrieve and export-candidates
 
 
 class TestDictionaryScale:
