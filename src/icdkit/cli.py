@@ -246,18 +246,18 @@ def cmd_index(config: RunConfig) -> tuple[dict, dict[str, str]]:
 def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[tuple[dict, RankedCandidates]]]:
     from icdkit.retrieval import retrieve
     dictionary, index = _load_index(config)
-
-    def ranked_row(row: dict) -> tuple[dict, RankedCandidates]:
-        query = _query_row(row, index.dim)
+    queries_path = config.path("queries")
+    queries = read_unique(queries_path, lambda row: _query_row(row, index.dim), "mention_id")
+    ranked = []
+    for query in queries:
         cands = retrieve(index, query["vector"], config.options.k, query_id=query["mention_id"])
-        # here, so that the error names the query's line: no JSON number holds an infinity
+        # no JSON number holds an infinity, so no report could be read back
         for hit in cands.hits:
             if not math.isfinite(hit.distance):
-                raise InvalidFormatError(f"mention_id {cands.query_id!r}: distance to entry "
-                                         f"{hit.entry_id} overflows a double")
-        return query, cands
-
-    return dictionary, read_unique(config.path("queries"), ranked_row, "mention_id")
+                raise InvalidFormatError(f"{queries_path}: mention_id {cands.query_id!r}: "
+                                         f"distance to entry {hit.entry_id} overflows a double")
+        ranked.append((query, cands))
+    return dictionary, ranked
 
 
 def cmd_retrieve(config: RunConfig) -> tuple[dict, dict[str, str]]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Sequence
@@ -29,9 +30,16 @@ from icdkit.codes import IcdCode, IcdDictionary, parse_code, truncate_to_group
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import parse_json, read_lines, typed_field
 
-# An embeddings file this large is parsed by two processes. Below it, the
-# fork and the pipe cost more than the second CPU saves.
-SPLIT_BYTES = 16 * 2**20
+# An embeddings file this large is parsed by two processes: from here up the
+# split was no slower than a one-process read even with the other CPU busy.
+# Timed on 2 CPUs (scripts/time_split_load.py; BENCH_split_embeddings.json,
+# "split_floor"): with the other CPU free it takes 0.65-0.70 of the time from
+# 8 MiB up; with it busy, 1.06-1.14 at 8-24 MiB, 1.0 at 32 and 0.94 at 64 MiB.
+SPLIT_BYTES = 32 * 2**20
+# Whether a file may be split at all. CPython 3.12 deprecates os.fork in a
+# process with more than one thread, and importing numpy starts OpenBLAS's
+# thread pool, so there every split would warn; it reads in one process.
+CAN_SPLIT = hasattr(os, "fork") and sys.version_info < (3, 12)
 
 
 @dataclass(frozen=True)
@@ -217,24 +225,18 @@ def as_vector(values: object) -> np.ndarray:
 def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
     """Read ``{"id": int, "vector": [floats]}`` rows from a JSONL file.
 
-    Where ``os.fork`` exists, a file of at least ``SPLIT_BYTES`` is parsed
-    by two processes: this one reads up to the first LF at or after half its
-    bytes, and a forked worker reads the rest. The pairs, their float bits
-    and the error raised are those of a one-process read; an error in the
-    first half is raised before any in the second.
+    Where ``CAN_SPLIT``, a file of at least ``SPLIT_BYTES`` is parsed by two
+    processes: this one reads up to the first LF at or after half its bytes,
+    and a forked worker reads the rest. The pairs, their float bits and the
+    error raised are those of a one-process read; an error in the first half
+    is raised before any in the second. Where no pipe or process can be made,
+    the whole file is read here.
     """
     mid = _split_point(path)
-    if mid is None:
+    worker = None if mid is None else _start_worker(path, mid)
+    if worker is None:
         return read_lines(path, _embedding_row)
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:  # the worker never returns into its caller's code
-            os.close(read_fd)
-            _send_rows(path, mid, write_fd)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
+    pid, read_fd = worker
     try:
         with open(read_fd, "rb") as pipe:
             rows = read_lines(path, _embedding_row, stop=mid) + _receive_rows(pipe, path)
@@ -253,9 +255,9 @@ def _embedding_row(line: str) -> tuple[int, np.ndarray]:
 
 def _split_point(path: str | Path) -> int | None:
     """The offset after the first LF at or after half the file's bytes, or
-    None to read the file in one process: it is smaller than ``SPLIT_BYTES``,
-    there is no ``os.fork``, or no byte follows such an LF."""
-    if not hasattr(os, "fork"):
+    None to read the file in one process: not ``CAN_SPLIT``, the file is
+    smaller than ``SPLIT_BYTES``, or no byte follows such an LF."""
+    if not CAN_SPLIT:
         return None
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
@@ -268,6 +270,30 @@ def _split_point(path: str | Path) -> int | None:
                 return at + lf + 1 if at + lf + 1 < size else None
             at += len(chunk)
     return None
+
+
+def _start_worker(path: str | Path, start: int) -> tuple[int, int] | None:
+    """Fork a worker that sends the file's rows from byte ``start`` on; its
+    pid and the pipe's read end, or None where the pipe or the process
+    cannot be made (out of file descriptors, processes or memory)."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        try:  # the worker never returns into its caller's code
+            os.close(read_fd)
+            _send_rows(path, start, write_fd)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, read_fd
 
 
 def _send_rows(path: str | Path, start: int, fd: int) -> None:

@@ -277,7 +277,7 @@ class TestRetrievalCommands:
         paths["queries"].write_text('{"mention_id": "q1", "vector": [-1e200, -1e200]}\n',
                                     encoding="utf-8")
         assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 3
-        assert capsys.readouterr().err == (f"error: {paths['queries'].resolve()}:1: mention_id 'q1': "
+        assert capsys.readouterr().err == (f"error: {paths['queries'].resolve()}: mention_id 'q1': "
                                            "distance to entry 0 overflows a double\n")
         assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,7 @@
 """Tests for the embedding index, exact top-k retrieval, and acc@k."""
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -445,6 +446,7 @@ embedding_lines = st.one_of(
 )
 
 
+@pytest.mark.skipif(not retrieval.CAN_SPLIT, reason="no file is split on this platform")
 class TestSplitLoad:
     """A file parsed by two processes reads as one process reads it."""
 
@@ -519,6 +521,26 @@ class TestSplitLoad:
         kind, message = loaded(path, 0)
         assert kind is InvalidFormatError
         assert re.match(f"{re.escape(str(path))}: .* ended without its rows$", message)
+
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_reads_in_one_process_where_no_worker_can_start(self, tmp_path, monkeypatch, failing):
+        # out of file descriptors, processes or memory: the load still succeeds
+        path = tmp_path / "v.jsonl"
+        write_embeddings_jsonl(path, [(i, [i + 0.5, -1e-300]) for i in range(10)])
+        expected = loaded(path, IN_PROCESS)
+        pipes, pipe = [], os.pipe
+
+        def unavailable():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "pipe", unavailable if failing == "pipe" else lambda: pipes.append(pipe()) or pipes[-1])
+        monkeypatch.setattr(os, "fork", unavailable)
+        monkeypatch.setattr(retrieval, "SPLIT_BYTES", 0)
+        assert [(i, [x.hex() for x in vector.tolist()]) for i, vector in load_embeddings_jsonl(path)] == expected
+        assert len(pipes) == (failing == "fork")
+        for fd in [fd for made in pipes for fd in made]:
+            with pytest.raises(OSError, match="Bad file descriptor"):
+                os.fstat(fd)
 
     def test_demo_reports_and_artifacts_unchanged(self, tmp_path, monkeypatch):
         with split_floor(0) as forks:
