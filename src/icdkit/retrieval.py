@@ -33,7 +33,7 @@ from icdkit.jsonl import parse_json, read_lines, typed_field
 # An embeddings file this large is parsed by two processes: from here up the
 # split was no slower than a one-process read even with the other CPU busy.
 # Timed on 2 CPUs (scripts/time_split_load.py; BENCH_split_embeddings.json,
-# "split_floor"): with the other CPU free it takes 0.65-0.70 of the time from
+# "split_floor"): with the other CPU free it takes 0.64-0.70 of the time from
 # 8 MiB up; with it busy, 1.06-1.14 at 8-24 MiB, 1.0 at 32 and 0.94 at 64 MiB.
 SPLIT_BYTES = 32 * 2**20
 # Whether a file may be split at all. CPython 3.12 deprecates os.fork in a
