@@ -33,9 +33,7 @@ from icdkit.codes import (
 from icdkit.corpus import check_annotators, corpus_stats, iaa_ratio, pairwise_jaccard, read_corpus_dir
 from icdkit.diagnosis import (
     build_label_space,
-    code_counts,
     frequency_split,
-    micro_confusion,
     per_class_f1,
     read_records_jsonl,
     read_training_counts_tsv,
@@ -139,8 +137,17 @@ class RunConfig:
             if required:
                 raise ConfigError(f"config is missing required path {key!r}")
             return None
-        if key != "output_dir" and not value.exists():
-            raise ConfigError(f"path {key!r} does not exist: {value}")
+        try:
+            value.stat()
+        except FileNotFoundError as exc:
+            if key == "output_dir":  # run() makes it
+                return value
+            raise ConfigError(f"path {key!r} does not exist: {value}") from exc
+        except OSError as exc:  # a name too long to stat, or a file as a parent directory
+            raise ConfigError(f"cannot stat path {key!r}: {value}: {exc.strerror}") from exc
+        is_dir = value.is_dir()
+        if is_dir != key.endswith("_dir"):
+            raise ConfigError(f"path {key!r} is {'a' if is_dir else 'not a'} directory: {value}")
         return value
 
 
@@ -173,16 +180,19 @@ def _query_row(row: dict, dim: int) -> dict:
     }
 
 
-def _candidate_row(row: dict) -> dict:
-    # only the keys baseline_selection and import_selection index, every code checked here
-    return {"mention_id": row["mention_id"],
-            "candidates": [{"code": parse_code(cand["code"])} for cand in row["candidates"]]}
+def _candidates(row: dict) -> list[dict]:
+    # only the key selected_candidate indexes, every code checked here
+    return [{"code": parse_code(cand["code"])} for cand in row["candidates"]]
 
 
-def _selection_row(row: dict, by_mention: Mapping[str, list]) -> dict:
+def _resolve(by_mention: Mapping[str, list], selection: Mapping) -> dict:
     from icdkit.retrieval import selected_candidate
-    selected_candidate(by_mention, row)  # here, so that its error names the selection line
-    return row
+    return {"mention_id": selection["mention_id"], "code": selected_candidate(by_mention, selection)["code"]}
+
+
+def _rank_one(row: dict) -> dict:
+    # the no-reranker baseline, resolved as its candidates line is read
+    return _resolve({row["mention_id"]: _candidates(row)}, {"mention_id": row["mention_id"], "selected_rank": 1})
 
 
 def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
@@ -322,9 +332,9 @@ def cmd_eval_dp(config: RunConfig) -> tuple[dict, dict[str, str]]:
     space = build_label_space(records, training_counts)
     restriction = restrict(records, space)
     per_class = per_class_f1(restriction.records, space)
-    confusion = micro_confusion(restriction.records, space.codes)
-    test_counts = {code: counts.tp + counts.fn
-                   for code, counts in code_counts(restriction.records, space.codes).items()}
+    table = per_class.counts  # the one pass over the records; every figure below sums it
+    confusion = sum_counts(table.values())
+    test_counts = {code: counts.tp + counts.fn for code, counts in table.items()}
     top, bottom = frequency_split(test_counts, fraction=config.options.fraction,
                                   min_count=config.options.min_count)
 
@@ -344,8 +354,8 @@ def cmd_eval_dp(config: RunConfig) -> tuple[dict, dict[str, str]]:
             "top": top,
             "bottom": bottom,
             # group confusion counts TN over the sub-space, not the full space
-            "top_confusion": asdict(micro_confusion(restriction.records, top)),
-            "bottom_confusion": asdict(micro_confusion(restriction.records, bottom)),
+            "top_confusion": asdict(sum_counts(table[code] for code in top)),
+            "bottom_confusion": asdict(sum_counts(table[code] for code in bottom)),
         },
     }
     return results, {}
@@ -361,20 +371,18 @@ def cmd_export_candidates(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def cmd_import_selection(config: RunConfig) -> tuple[dict, dict[str, str]]:
-    from icdkit.retrieval import baseline_selection, import_selection
-    candidate_records = read_unique(config.path("candidates"), _candidate_row, "mention_id")
+    candidates_path = config.path("candidates")
     selection_path = config.path("selection", required=False)
-    baseline = selection_path is None
-    if baseline:
-        selections = baseline_selection(candidate_records)
+    if selection_path is None:
+        rows = read_unique(candidates_path, _rank_one, "mention_id")
     else:
-        by_mention = {rec["mention_id"]: rec["candidates"] for rec in candidate_records}
-        selections = read_unique(selection_path, lambda row: _selection_row(row, by_mention), "mention_id")
-    resolved = import_selection(candidate_records, selections)
-    rows = [{"mention_id": mention_id, "code": code} for mention_id, code in resolved.items()]
+        by_mention = dict(read_unique(candidates_path, lambda row: (row["mention_id"], _candidates(row)),
+                                      "mention_id"))
+        rows = read_unique(selection_path, lambda row: _resolve(by_mention, row), "mention_id")
+    resolved = {row["mention_id"]: row["code"] for row in rows}
     results = {
         "n_mentions": len(resolved),
-        "baseline_rank1": baseline,
+        "baseline_rank1": selection_path is None,
         "selected": resolved,
         "files": {"resolved": "resolved.jsonl"},
     }

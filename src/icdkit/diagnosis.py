@@ -112,8 +112,11 @@ def restrict(records: Iterable[MultiLabelRecord], space: LabelSpace) -> Restrict
 
 @dataclass(frozen=True)
 class PerClassF1:
+    """Per-code F1 and the ``code_counts`` table it came from, keyed by ``space.codes`` in order."""
+
     scores: Mapping[IcdCode, float]
     no_support: frozenset[IcdCode]
+    counts: Mapping[IcdCode, ConfusionCounts]
 
 
 def code_counts(
@@ -139,7 +142,7 @@ def code_counts(
 
 
 def per_class_f1(records: Sequence[MultiLabelRecord], space: LabelSpace) -> PerClassF1:
-    """Binary F1 per code over the records.
+    """Binary F1 per code over the records, with the one count table behind it.
 
     A code that never occurs in gold or predictions scores 0 and is
     flagged as no-support instead of being silently excluded, which would
@@ -149,7 +152,7 @@ def per_class_f1(records: Sequence[MultiLabelRecord], space: LabelSpace) -> PerC
     scores = {code: 2 * c.tp / (2 * c.tp + c.fp + c.fn) if c.tp + c.fp + c.fn else 0.0
               for code, c in table.items()}
     no_support = frozenset(code for code, c in table.items() if c.tp + c.fp + c.fn == 0)
-    return PerClassF1(scores, no_support)
+    return PerClassF1(scores, no_support, table)
 
 
 def weighted_f1(per_class: Mapping[IcdCode, float], space: LabelSpace) -> float:

@@ -355,11 +355,6 @@ def export_candidates(
     }
 
 
-def baseline_selection(candidate_records: Iterable[Mapping]) -> list[dict]:
-    """The no-reranker baseline: select the rank-1 candidate of every record."""
-    return [{"mention_id": rec["mention_id"], "selected_rank": 1} for rec in candidate_records]
-
-
 def import_selection(
     candidate_records: Iterable[Mapping],
     selections: Iterable[Mapping],

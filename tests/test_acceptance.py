@@ -28,7 +28,7 @@ from icdkit.diagnosis import (
     weighted_f1,
 )
 from icdkit.diagnosis import MultiLabelRecord
-from icdkit.metrics import ConfusionCounts, micro_report
+from icdkit.metrics import ConfusionCounts, micro_report, sum_counts
 from icdkit.ner import fuzzy_verify
 from icdkit.retrieval import EmbeddingIndex, Hit, RankedCandidates, acc_at_k, retrieve
 
@@ -362,7 +362,8 @@ def test_criterion_07_dp_metrics_match_enumeration_oracle():
             continue
         restricted = restrict(records, space).records
         confusion = micro_confusion(restricted, space.codes)
-        scores = per_class_f1(restricted, space).scores
+        per_class = per_class_f1(restricted, space)
+        scores = per_class.scores
 
         tp = fp = fn = tn = 0
         oracle_scores = {}
@@ -393,6 +394,10 @@ def test_criterion_07_dp_metrics_match_enumeration_oracle():
                          - set(space.codes))
         carried_outside += bool(outside)
         group = rnd.sample(space.codes, rnd.randint(0, len(space)))
+        # eval-dp sums a group's rows of per_class_f1's one table
+        assert tuple(per_class.counts) == space.codes
+        assert sum_counts(per_class.counts[code] for code in group) == micro_confusion(records, group), \
+            f"corpus {corpus_idx}"
         group.append(rnd.choice(outside) if outside else parse_code("Z99"))
         table = code_counts(records, group)
         assert set(table) == set(group), f"corpus {corpus_idx}"

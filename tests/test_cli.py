@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdkit import __version__
+from icdkit import __version__, diagnosis
 from icdkit.cli import RunConfig, main
 from icdkit.errors import ConfigError
 from icdkit.corpus import read_corpus_dir
@@ -229,6 +229,16 @@ class TestRetrievalCommands:
         for row in rows:
             assert selected[row["mention_id"]] == row["candidates"][1]["code"]
 
+        # resolved.jsonl keeps the selection file's order, not the candidates order
+        selection.write_text("".join(
+            json.dumps({"mention_id": row["mention_id"], "selected_rank": 1}) + "\n"
+            for row in reversed(rows)), encoding="utf-8")
+        assert run_cli("import-selection", sel_cfg) == 0
+        resolved = [json.loads(line) for line in (out / "resolved.jsonl").read_text().splitlines()]
+        assert len(rows) > 1
+        assert resolved == [{"mention_id": row["mention_id"], "code": row["candidates"][0]["code"]}
+                            for row in reversed(rows)]
+
     def test_embeddings_dictionary_mismatch_is_data_error(self, tmp_path, fixtures_dir,
                                                           embedding_workspace, capsys):
         out = tmp_path / "out"
@@ -279,6 +289,16 @@ class TestRetrievalCommands:
         assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 3
         assert capsys.readouterr().err == (f"error: {paths['queries'].resolve()}: mention_id 'q1': "
                                            "distance to entry 0 overflows a double\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_baseline_over_no_candidates_names_file_and_line(self, tmp_path, capsys):
+        candidates = tmp_path / "candidates.jsonl"
+        candidates.write_text('{"mention_id": "m1", "candidates": [{"rank": 1, "code": "J00"}]}\n'
+                              '{"mention_id": "m2", "candidates": []}\n', encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", {"candidates": candidates, "output_dir": tmp_path / "out"})
+        assert run_cli("import-selection", cfg) == 3
+        assert capsys.readouterr().err == (f"error: {candidates.resolve()}:2: "
+                                           "m2: selected rank 1 of 0 candidates\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad, message", [
@@ -385,6 +405,21 @@ class TestEvalDp:
         top_confusion = split["top_confusion"]
         # sub-space totals: 2 records x 1 top code
         assert sum(top_confusion.values()) == 2
+
+    def test_one_count_table_per_run(self, tmp_path, monkeypatch):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"record_id": "r1", "gold": ["A00", "B00"], "predicted": ["A00"]}\n',
+                           encoding="utf-8")
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("A00\t30\nB00\t10\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", {
+            "records": records, "training_counts": counts, "output_dir": tmp_path / "out",
+        }, options={"fraction": 0.5, "min_count": 1})
+        calls = []
+        code_counts = diagnosis.code_counts
+        monkeypatch.setattr(diagnosis, "code_counts", lambda *args: calls.append(args) or code_counts(*args))
+        assert run_cli("eval-dp", cfg) == 0
+        assert len(calls) == 1
 
 
 class TestAgreement:
@@ -709,6 +744,27 @@ class TestConfigHandling:
         })
         assert run_cli("stats", cfg) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, name, make, message", [
+        ("eval-dp", "records", "bad", Path.mkdir, "path 'records' is a directory"),
+        ("stats", "corpus_dir", "bad", Path.touch, "path 'corpus_dir' is not a directory"),
+        ("stats", "output_dir", "bad", Path.touch, "path 'output_dir' is not a directory"),
+        ("stats", "output_dir", "bad/out", lambda path: path.parent.touch(), "Not a directory"),
+        ("eval-dp", "records", "x" * 300, None, "File name too long"),
+        ("stats", "output_dir", "x" * 300, None, "File name too long"),
+    ], ids=["file-is-directory", "corpus-dir-is-file", "output-dir-is-file", "output-dir-under-file",
+            "name-too-long", "output-name-too-long"])
+    def test_path_of_wrong_kind_exits_2(self, tmp_path, corpus_dir, capsys, command, key, name, make,
+                                        message):
+        # eval-dp looks up records first, so its other paths may be left out
+        paths = {"corpus_dir": corpus_dir, "output_dir": tmp_path / "out", key: tmp_path / name}
+        if make:
+            make(paths[key])
+        assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"path {key!r}" in err and message in err
+        assert str(paths[key]) in err
+        assert not (tmp_path / "out").exists()
 
     def test_relative_paths_resolve_against_config(self, tmp_path, corpus_dir):
         workspace = tmp_path / "ws"

@@ -24,7 +24,6 @@ from icdkit.retrieval import (
     Hit,
     RankedCandidates,
     acc_at_k,
-    baseline_selection,
     build_index,
     export_candidates,
     import_selection,
@@ -601,11 +600,6 @@ class TestCandidateExport:
     def test_unknown_mention(self):
         with pytest.raises(InvalidFormatError, match="^selection references unknown mention_id 'zzz'$"):
             import_selection([self.record], [{"mention_id": "zzz", "selected_rank": 1}])
-
-    def test_baseline_picks_rank_one(self):
-        selections = baseline_selection([self.record])
-        resolved = import_selection([self.record], selections)
-        assert str(resolved["m1"]) == str(self.cands.hits[0].code)
 
     def test_round_trip_through_jsonl_text(self):
         line = json.dumps(self.record, ensure_ascii=False)
