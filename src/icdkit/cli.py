@@ -41,7 +41,7 @@ from icdkit.diagnosis import (
     weighted_f1,
 )
 from icdkit.errors import ConfigError, InvalidFormatError
-from icdkit.jsonl import dump_jsonl, parse_json, read_jsonl, read_text, read_unique
+from icdkit.jsonl import dump_jsonl, parse_json, read_jsonl, read_text, read_unique, typed_field
 from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 
@@ -224,7 +224,11 @@ def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
     records: list[list[frozenset]] = []
 
     def add_row(row: dict) -> None:
-        sets = [frozenset(map(parse_code, codes)) for codes in row["annotators"]]
+        sets = []
+        for codes in typed_field(row, "annotators", list):
+            if type(codes) is not list:
+                raise InvalidFormatError(f"annotator codes must be list, got {codes!r}")
+            sets.append(frozenset(map(parse_code, codes)))
         check_annotators(sets, len(records[0]) if records else len(sets))
         records.append(sets)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code, truncate_to_group
-from icdkit.jsonl import read_grouped
+from icdkit.jsonl import read_grouped, typed_field
 from icdkit.metrics import ConfusionCounts, MetricsReport, micro_report, sum_counts
 
 
@@ -69,4 +69,4 @@ def read_code_predictions(path: str | Path) -> dict[str, list[IcdCode]]:
     """Load per-record code lists from JSONL rows of
     ``{"doc_id": ..., "codes": [...]}``. Duplicate rows for one record
     are concatenated (aggregation dedupes anyway)."""
-    return read_grouped(path, "doc_id", lambda row: [parse_code(text) for text in row["codes"]])
+    return read_grouped(path, "doc_id", lambda row: list(map(parse_code, typed_field(row, "codes", list))))

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import read_lines, read_unique
+from icdkit.jsonl import read_lines, read_unique, typed_field
 from icdkit.metrics import ConfusionCounts, sum_counts
 
 
@@ -198,8 +198,8 @@ def read_records_jsonl(path: str | Path) -> list[MultiLabelRecord]:
     """Load ``{"record_id": ..., "gold": [...], "predicted": [...]}`` rows;
     a record_id appears once."""
     return read_unique(path, lambda row: MultiLabelRecord(
-        row["record_id"], gold=frozenset(map(parse_code, row["gold"])),
-        predicted=frozenset(map(parse_code, row["predicted"]))), "record_id")
+        row["record_id"], gold=frozenset(map(parse_code, typed_field(row, "gold", list))),
+        predicted=frozenset(map(parse_code, typed_field(row, "predicted", list)))), "record_id")
 
 
 def read_training_counts_tsv(path: str | Path) -> dict[IcdCode, int]:

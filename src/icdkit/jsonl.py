@@ -9,12 +9,11 @@ by ``json.dumps``, whose bytes the reports and artifacts keep.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import sys
 from pathlib import Path
-from typing import Any, AnyStr, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 import orjson
 
@@ -31,14 +30,14 @@ _BRACKET_RE = re.compile(r"[][{}]")
 
 
 def frame_lines(lines: Iterable[str], where: str | Path, row_fn: Callable[[str], T],
-                comments: bool = False, first_line: int = 1) -> list[T]:
+                comments: bool = False) -> list[T]:
     """``row_fn(line)`` for each non-blank line, skipping ``#`` lines if
     ``comments`` (TSV). A ``KeyError``, ``TypeError``, ``ValueError`` (such as
     :class:`InvalidFormatError`), ``OverflowError`` or ``RecursionError`` from
     ``row_fn`` becomes :class:`InvalidFormatError` prefixed ``where:line``,
-    the first line numbered ``first_line``, so checks across rows belong in ``row_fn``."""
+    the first line numbered 1, so checks across rows belong in ``row_fn``."""
     values = []
-    for lineno, line in enumerate(lines, start=first_line):
+    for lineno, line in enumerate(lines, start=1):
         # isspace, not strip, so a 9 KB embedding row is never copied
         if line.isspace() or comments and line.lstrip().startswith("#"):
             continue
@@ -49,42 +48,18 @@ def frame_lines(lines: Iterable[str], where: str | Path, row_fn: Callable[[str],
     return values
 
 
-def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool = False,
-               start: int = 0, stop: int | None = None) -> list[T]:
-    """:func:`frame_lines` over the bytes ``start:stop`` of a UTF-8 file, all
-    of it by default, whose one leading BOM is dropped; a line ends at CRLF,
-    CR or LF and reaches ``row_fn`` with that break as ``\\n``. Lines are
-    numbered from the file's first, so ``start`` must begin a line."""
-    with open(path, "rb") as handle:
-        first_line = 1 + _line_breaks_before(handle, start)
-        # read to the end, the file streams; a range is read whole
-        stream = handle if stop is None else io.BytesIO(handle.read(stop - start))
-        with io.TextIOWrapper(stream, encoding="utf-8" if start else "utf-8-sig", newline=None) as text:
-            try:
-                return frame_lines(text, path, row_fn, comments, first_line)
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(path) from exc
+def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool = False) -> list[T]:
+    """:func:`frame_lines` over a UTF-8 file, whose one leading BOM is
+    dropped; a line ends at CRLF, CR or LF and reaches ``row_fn`` with that
+    break as ``\\n``. Bytes that are not UTF-8 are an error at their line."""
+    with open(path, encoding="utf-8-sig", newline=None) as text:
+        try:
+            return frame_lines(text, path, row_fn, comments)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
 
 
-def _line_breaks_before(handle: io.BufferedReader, size: int) -> int:
-    """How many line breaks, each a CRLF, CR or LF, the next ``size`` bytes of ``handle`` hold."""
-    breaks, last = 0, b""
-    # 1 MiB at a time: a fresh buffer of the whole range costs more in page faults than the count
-    while size > 0 and (chunk := handle.read(min(size, 2**20))):
-        size -= len(chunk)
-        # a CRLF split between two chunks is counted in both
-        breaks += _line_breaks(chunk) - (last.endswith(b"\r") and chunk.startswith(b"\n"))
-        last = chunk
-    return breaks
-
-
-def _line_breaks(data: bytes) -> int:
-    """How many line breaks, each a CRLF, CR or LF, ``data`` holds."""
-    cr = _occurrences(data, b"\r")
-    return _occurrences(data, b"\n") + cr - (data.count(b"\r\n") if cr else 0)
-
-
-def _occurrences(data: AnyStr, item: AnyStr, limit: int = sys.maxsize) -> int:
+def _occurrences(data: str, item: str, limit: int = sys.maxsize) -> int:
     """How many times ``item`` occurs in ``data``, counted up to ``limit``."""
     # find is memchr: over a few long lines, such as 9 KB embedding rows,
     # it costs a fifth to a third of count
@@ -112,7 +87,8 @@ def _not_utf8(path: str | Path) -> InvalidFormatError:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = 1 + _line_breaks(data[:exc.start])
+        head = data[:exc.start]  # a line ends at CRLF, CR or LF
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         return InvalidFormatError(f"{path}:{lineno}: not UTF-8: {exc.reason} "
                                   f"(byte 0x{data[exc.start]:02x} at offset {exc.start})")
     return InvalidFormatError(f"{path}: not UTF-8")

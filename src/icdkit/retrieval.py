@@ -16,6 +16,7 @@ degrades to that full scan.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import signal
@@ -28,7 +29,7 @@ import numpy as np
 
 from icdkit.codes import IcdCode, IcdDictionary, parse_code, truncate_to_group
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import parse_json, read_lines, typed_field
+from icdkit.jsonl import frame_lines, parse_json, read_lines, typed_field
 
 # An embeddings file this large is parsed by two processes: from here up the
 # split was no slower than a one-process read even with the other CPU busy.
@@ -227,25 +228,27 @@ def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
 
     Where ``CAN_SPLIT``, a file of at least ``SPLIT_BYTES`` is parsed by two
     processes: this one reads up to the first LF at or after half its bytes,
-    and a forked worker reads the rest. The pairs, their float bits and the
-    error raised are those of a one-process read; an error in the first half
-    is raised before any in the second. Where no pipe or process can be made,
-    the whole file is read here.
+    and a forked worker reads the rest. On any fault (a bad row in either
+    half, a lost worker, no pipe or process to be had) the whole file is
+    read again in this process, so the pairs, their float bits and the
+    error raised are those of a one-process read.
     """
     mid = _split_point(path)
     worker = None if mid is None else _start_worker(path, mid)
     if worker is None:
         return read_lines(path, _embedding_row)
     pid, read_fd = worker
+    rows = None
     try:
         with open(read_fd, "rb") as pipe:
-            rows = read_lines(path, _embedding_row, stop=mid) + _receive_rows(pipe, path)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)  # after an error here, a worker still parsing is not waited for
-        raise
+            rows = _read_part(path, 0, mid) + _receive_rows(pipe)
+    except Exception:
+        pass  # read again below; an interrupt or exit is never retried
     finally:
+        if rows is None:  # a worker still parsing is not waited for
+            os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    return rows
+    return read_lines(path, _embedding_row) if rows is None else rows
 
 
 def _embedding_row(line: str) -> tuple[int, np.ndarray]:
@@ -296,39 +299,39 @@ def _start_worker(path: str | Path, start: int) -> tuple[int, int] | None:
     return pid, read_fd
 
 
+def _read_part(path: str | Path, start: int, stop: int | None) -> list[tuple[int, np.ndarray]]:
+    """The rows of the file's bytes ``start:stop``, to its end if ``stop`` is
+    None; ``start`` begins a line. A BOM that begins a later part begins no
+    file, so it stays a character and fails its row as in a one-process read.
+    Lines are numbered from the part's first; no caller reports them."""
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        # read to the end, the file streams; a range is read whole
+        stream = handle if stop is None else io.BytesIO(handle.read(stop - start))
+        with io.TextIOWrapper(stream, encoding="utf-8" if start else "utf-8-sig", newline=None) as text:
+            return frame_lines(text, path, _embedding_row)
+
+
 def _send_rows(path: str | Path, start: int, fd: int) -> None:
     """Parse the file's lines from byte ``start`` on and write to ``fd`` the
-    pickled ids and vector lengths, or the exception raised, then every
-    component as raw float64 bytes."""
-    try:
-        rows = read_lines(path, _embedding_row, start=start)
-        header = pickle.dumps(([entry_id for entry_id, _ in rows], [len(vector) for _, vector in rows]))
-    except Exception as exc:  # the parent raises it as its own
-        rows, header = [], pickle.dumps(exc)
+    pickled ids and vector lengths, then every component as raw float64
+    bytes; a fault in the part writes nothing."""
+    rows = _read_part(path, start, None)
     with open(fd, "wb") as pipe:
-        pipe.write(len(header).to_bytes(8, "little") + header)
+        pickle.dump(([entry_id for entry_id, _ in rows], [len(vector) for _, vector in rows]), pipe)
         for _, vector in rows:
             pipe.write(vector)
 
 
-def _receive_rows(pipe: BinaryIO, path: str | Path) -> list[tuple[int, np.ndarray]]:
-    """The rows :func:`_send_rows` wrote, as views of one float64 buffer."""
-    size = int.from_bytes(pipe.read(8), "little")
-    header = pipe.read(size)
-    if not size or len(header) < size:
-        raise _worker_lost(path)
-    received = pickle.loads(header)
-    if isinstance(received, Exception):
-        raise received
-    ids, lengths = received
+def _receive_rows(pipe: BinaryIO) -> list[tuple[int, np.ndarray]]:
+    """The rows :func:`_send_rows` wrote, as views of one float64 buffer; a
+    worker that wrote nothing or too little makes this raise."""
+    # pickle.load reads no byte past the header; a short one raises
+    ids, lengths = pickle.load(pipe)
     flat = np.empty(sum(lengths))
     if pipe.readinto(flat) < flat.nbytes:
-        raise _worker_lost(path)
+        raise ValueError("the worker's rows ended early")
     return list(zip(ids, np.split(flat, np.cumsum(lengths)[:-1])))
-
-
-def _worker_lost(path: str | Path) -> InvalidFormatError:
-    return InvalidFormatError(f"{path}: the process parsing the second half of the file ended without its rows")
 
 
 def export_candidates(

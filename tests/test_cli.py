@@ -542,6 +542,12 @@ class TestMalformedRows:
         ("retrieve", "queries", '{"mention_id": "q1", "vector": [true, 2.0]}'),
         ("export-candidates", "queries", '{"mention_id": "q1", "mention": "\\ud800", "vector": [1.0, 2.0]}'),
         ("retrieve", "embeddings", '{"id": %d, "vector": [1.0, 2.0]}' % 2**64),
+        # an object's keys can all be codes, yet a code list is an array
+        ("eval-dp", "records", '{"record_id": "r1", "gold": {"J00": 1, "J01": 0, "J02": null}, "predicted": []}'),
+        ("eval-dp", "records", '{"record_id": "r1", "gold": ["J00"], "predicted": {"J00": 1}}'),
+        ("eval-coding", "gold", '{"doc_id": "d1", "codes": {"J00": 1}}'),
+        ("eval-coding", "predictions", '{"doc_id": "d1", "codes": {"J00": 1}}'),
+        ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"], {"J00": 1}]}'),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
             "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
@@ -555,7 +561,9 @@ class TestMalformedRows:
             "gold-zero", "gold-false", "gold-empty-string", "gold-empty-list",
             "selection-unknown-mention", "selection-rank-past-list", "vector-string-component",
             "vector-bool-component", "query-string-component", "query-bool-component",
-            "mention-lone-surrogate", "id-beyond-64-bits"])
+            "mention-lone-surrogate", "id-beyond-64-bits", "records-object-gold",
+            "records-object-predicted", "gold-object-codes", "predictions-object-codes",
+            "annotator-object-codes"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         retrieval = {

@@ -29,16 +29,6 @@ class TestReadLines:
         with pytest.raises(InvalidFormatError, match=r"rows\.txt:4: 'c\\n'"):
             list(read_lines(path, lambda line: {"a\n": 1, "b\n": 2}[line]))
 
-    def test_byte_range_keeps_the_file_line_numbers(self, tmp_path):
-        # the CRLF at bytes 2**20 - 1 and 2**20 straddles two 1 MiB chunks of the line count
-        head = b"a\r" * (2**19 - 1) + b"b\r\n"
-        path = tmp_path / "rows.txt"
-        path.write_bytes(head + b"c\r\n\nd\n")
-        assert read_lines(path, str.strip, start=len(head)) == ["c", "d"]
-        assert read_lines(path, str.strip, stop=4) == ["a", "a"]
-        with pytest.raises(InvalidFormatError, match=rf":{2**19 + 3}: 'd\\n'$"):
-            read_lines(path, lambda line: {"c\n": 1}[line], start=len(head))
-
     def test_comments_only_when_asked(self, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_text("# head\n  # indented\nx\n", encoding="utf-8")

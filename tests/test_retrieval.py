@@ -6,7 +6,6 @@ import json
 import math
 import os
 import random
-import re
 import signal
 import warnings
 
@@ -503,7 +502,7 @@ class TestSplitLoad:
         assert marker.read_text() == "0"
 
     @pytest.mark.parametrize("death", ["killed mid-parse", "dies mid-send"])
-    def test_lost_worker_is_an_error_naming_the_file(self, tmp_path, monkeypatch, death):
+    def test_lost_worker_reads_in_one_process(self, tmp_path, monkeypatch, death):
         path = tmp_path / "v.jsonl"
         write_embeddings_jsonl(path, [(i, [float(i)]) for i in range(10)])
         parent, as_vector, calls = os.getpid(), retrieval.as_vector, []
@@ -517,9 +516,27 @@ class TestSplitLoad:
             return values  # it has a length, but the pipe cannot write it
 
         monkeypatch.setattr(retrieval, "as_vector", fails_in_worker)
-        kind, message = loaded(path, 0)
-        assert kind is InvalidFormatError
-        assert re.match(f"{re.escape(str(path))}: .* ended without its rows$", message)
+        assert loaded(path, 0) == loaded(path, IN_PROCESS)
+
+    def test_interrupt_in_callers_half_is_not_retried(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.jsonl"
+        write_embeddings_jsonl(path, [(i, [float(i)]) for i in range(10)])
+        parent, as_vector, calls = os.getpid(), retrieval.as_vector, []
+
+        def interrupted_in_caller(values):
+            if os.getpid() == parent:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+            return as_vector(values)
+
+        monkeypatch.setattr(retrieval, "as_vector", interrupted_in_caller)
+        with split_floor(0) as forks, pytest.raises(KeyboardInterrupt):
+            load_embeddings_jsonl(path)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(calls) == 2  # the file was not read again
 
     @pytest.mark.parametrize("failing", ["pipe", "fork"])
     def test_reads_in_one_process_where_no_worker_can_start(self, tmp_path, monkeypatch, failing):
