@@ -182,7 +182,7 @@ def _query_row(row: dict, dim: int) -> dict:
 
 def _candidates(row: dict) -> list[dict]:
     # only the key selected_candidate indexes, every code checked here
-    return [{"code": parse_code(cand["code"])} for cand in row["candidates"]]
+    return [{"code": parse_code(cand["code"])} for cand in typed_field(row, "candidates", list)]
 
 
 def _resolve(by_mention: Mapping[str, list], selection: Mapping) -> dict:

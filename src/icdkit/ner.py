@@ -94,4 +94,4 @@ def read_span_predictions(path: str | Path) -> dict[str, list[Span]]:
     """
     return read_grouped(path, "doc_id", lambda row: [
         Span(typed_field(s, "start", int), typed_field(s, "end", int), s.get("text", ""))
-        for s in row["spans"]])
+        for s in typed_field(row, "spans", list)])

@@ -234,20 +234,28 @@ def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
     error raised are those of a one-process read.
     """
     mid = _split_point(path)
-    worker = None if mid is None else _start_worker(path, mid)
-    if worker is None:
+    if mid is None:
         return read_lines(path, _embedding_row)
-    pid, read_fd = worker
-    rows = None
-    try:
-        with open(read_fd, "rb") as pipe:
+    pid = rows = None
+    try:  # no pipe or process to be had reads again below, like a bad row
+        read_fd, write_fd = os.pipe()
+        with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
+            pid = os.fork()
+            if pid == 0:
+                try:  # the worker never returns into its caller's code
+                    pipe.close()
+                    _send_rows(path, mid, sink)
+                finally:
+                    os._exit(0)
+            sink.close()  # so a worker that dies ends the receive
             rows = _read_part(path, 0, mid) + _receive_rows(pipe)
     except Exception:
-        pass  # read again below; an interrupt or exit is never retried
+        pass  # an interrupt or exit is never retried
     finally:
-        if rows is None:  # a worker still parsing is not waited for
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        if pid:
+            if rows is None:  # a worker still parsing is not waited for
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return read_lines(path, _embedding_row) if rows is None else rows
 
 
@@ -266,37 +274,10 @@ def _split_point(path: str | Path) -> int | None:
         size = os.fstat(handle.fileno()).st_size
         if size < SPLIT_BYTES:
             return None
-        at = handle.seek(size // 2)
-        while chunk := handle.read(2**16):
-            lf = chunk.find(b"\n")
-            if lf != -1:
-                return at + lf + 1 if at + lf + 1 < size else None
-            at += len(chunk)
-    return None
-
-
-def _start_worker(path: str | Path, start: int) -> tuple[int, int] | None:
-    """Fork a worker that sends the file's rows from byte ``start`` on; its
-    pid and the pipe's read end, or None where the pipe or the process
-    cannot be made (out of file descriptors, processes or memory)."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        try:  # the worker never returns into its caller's code
-            os.close(read_fd)
-            _send_rows(path, start, write_fd)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    return pid, read_fd
+        handle.seek(size // 2)
+        handle.readline()
+        mid = handle.tell()
+    return mid if mid < size else None
 
 
 def _read_part(path: str | Path, start: int, stop: int | None) -> list[tuple[int, np.ndarray]]:
@@ -312,12 +293,12 @@ def _read_part(path: str | Path, start: int, stop: int | None) -> list[tuple[int
             return frame_lines(text, path, _embedding_row)
 
 
-def _send_rows(path: str | Path, start: int, fd: int) -> None:
-    """Parse the file's lines from byte ``start`` on and write to ``fd`` the
-    pickled ids and vector lengths, then every component as raw float64
-    bytes; a fault in the part writes nothing."""
+def _send_rows(path: str | Path, start: int, pipe: BinaryIO) -> None:
+    """Parse the file's lines from byte ``start`` on, then write to ``pipe``
+    and close it: the pickled ids and vector lengths, then every component
+    as raw float64 bytes. A fault in the part writes nothing."""
     rows = _read_part(path, start, None)
-    with open(fd, "wb") as pipe:
+    with pipe:
         pickle.dump(([entry_id for entry_id, _ in rows], [len(vector) for _, vector in rows]), pipe)
         for _, vector in rows:
             pipe.write(vector)

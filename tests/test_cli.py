@@ -548,6 +548,8 @@ class TestMalformedRows:
         ("eval-coding", "gold", '{"doc_id": "d1", "codes": {"J00": 1}}'),
         ("eval-coding", "predictions", '{"doc_id": "d1", "codes": {"J00": 1}}'),
         ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"], {"J00": 1}]}'),
+        ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": {}}'),
+        ("import-selection", "candidates", '{"mention_id": "m1", "candidates": {}}'),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
             "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
@@ -563,7 +565,7 @@ class TestMalformedRows:
             "vector-bool-component", "query-string-component", "query-bool-component",
             "mention-lone-surrogate", "id-beyond-64-bits", "records-object-gold",
             "records-object-predicted", "gold-object-codes", "predictions-object-codes",
-            "annotator-object-codes"])
+            "annotator-object-codes", "predictions-object-spans", "candidates-object-candidates"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         retrieval = {

@@ -1,4 +1,5 @@
-"""Modules under ``src/icdkit`` use every name they import and raise only the toolkit's error classes."""
+"""Modules under ``src/icdkit`` use every name they import, reference every private
+helper they define and raise only the toolkit's error classes."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,35 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_helpers(sources: list[str]) -> list[str]:
+    """Module-level ``_name`` functions defined in ``sources`` that none of
+    them reads by name, by attribute or through ``from ... import``."""
+    defined = []
+    used = set()
+    for tree in map(ast.parse, sources):
+        defined += [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [name for name in defined if name not in used]
+
+
+def test_finds_a_dead_private_helper():
+    sources = ["def _called():\n    pass\ndef _dead():\n    return _called()\ndef _imported():\n    pass\n"
+               "def _attribute():\n    pass\ndef __getattr__(name):\n    pass\nclass C:\n    def _method(self):\n        pass\n",
+               "from m import _imported\nimport m\nx = m._attribute\n"]
+    assert dead_helpers(sources) == ["_dead"]
+
+
+def test_every_private_helper_is_used():
+    assert dead_helpers([path.read_text(encoding="utf-8") for path in MODULES]) == []
 
 
 # input faults, config faults and bad library arguments; see icdkit.errors

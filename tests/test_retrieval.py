@@ -401,13 +401,15 @@ class TestEmbeddingFiles:
 
 @contextlib.contextmanager
 def split_floor(floor):
-    """``retrieval.SPLIT_BYTES`` set to ``floor``; yields a list that gains an item per fork."""
-    forks = []
-    fork = os.fork
+    """``retrieval.SPLIT_BYTES`` set to ``floor``; yields two lists that gain an
+    item per fork and per ``read_lines`` call of the load, the one-process read."""
+    forks, reads = [], []
+    fork, read_lines = os.fork, retrieval.read_lines
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(retrieval, "SPLIT_BYTES", floor)
         mp.setattr(os, "fork", lambda: forks.append(1) or fork())
-        yield forks
+        mp.setattr(retrieval, "read_lines", lambda *args: reads.append(1) or read_lines(*args))
+        yield forks, reads
 
 
 def splits(data):
@@ -421,7 +423,7 @@ def loaded(path, floor):
     returns with the split floor at ``floor``, or the class and message of
     the error it raises. It forks only where the file splits, and leaves
     no child process behind."""
-    with split_floor(floor) as forks:
+    with split_floor(floor) as (forks, _):
         try:
             result = [(i, [x.hex() for x in vector.tolist()]) for i, vector in load_embeddings_jsonl(path)]
         except InvalidFormatError as exc:
@@ -457,7 +459,11 @@ class TestSplitLoad:
             data = data.rstrip("\r\n")
         path = shared_dir / "split.jsonl"
         path.write_bytes(data.encode("utf-8"))
-        assert loaded(path, 0) == loaded(path, IN_PROCESS)
+        with split_floor(0) as (forks, reads):  # counts what the load inside loaded() does
+            split = loaded(path, 0)
+        assert split == loaded(path, IN_PROCESS)
+        if forks and isinstance(split, list):
+            assert not reads  # a valid file that splits is parsed once
 
     def rows(self, n, ends=("\n",)):
         return "".join(json.dumps({"id": i, "vector": [i + 0.5, -1e-300]}) + ends[i % len(ends)]
@@ -531,7 +537,7 @@ class TestSplitLoad:
             return as_vector(values)
 
         monkeypatch.setattr(retrieval, "as_vector", interrupted_in_caller)
-        with split_floor(0) as forks, pytest.raises(KeyboardInterrupt):
+        with split_floor(0) as (forks, _), pytest.raises(KeyboardInterrupt):
             load_embeddings_jsonl(path)
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
@@ -559,9 +565,10 @@ class TestSplitLoad:
                 os.fstat(fd)
 
     def test_demo_reports_and_artifacts_unchanged(self, tmp_path, monkeypatch):
-        with split_floor(0) as forks:
+        with split_floor(0) as (forks, reads):
             assert demo_digests(tmp_path, monkeypatch) == GOLDEN
         assert len(forks) == 3  # index, retrieve and export-candidates
+        assert not reads  # each load parsed the file once
 
 
 class TestDictionaryScale:
