@@ -174,7 +174,7 @@ def _query_row(row: dict, dim: int) -> dict:
     gold = row.get("gold")
     return {
         "mention_id": row["mention_id"],
-        "mention": row.get("mention", ""),
+        "mention": typed_field(row, "mention", str) if "mention" in row else "",
         "vector": vector,
         "gold": None if gold is None else parse_code(gold),
     }

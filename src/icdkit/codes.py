@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_lines
 
-_CODE_RE = re.compile(r"^([A-Z])([0-9]{2})(?:\.([0-9]{1,2}))?$")
+_CODE_RE = re.compile(r"[A-Z][0-9]{2}(?:\.[0-9]{1,2})?")
 _WS_RE = re.compile(r"\s+")
 
 
@@ -27,13 +27,13 @@ class IcdCode(str):
     """A validated ICD-10 code: a ``str`` whose value is its canonical text.
 
     It hashes, compares and sorts as that text, so ``H10 < H10.0 < H11``
-    and ``IcdCode("H", "10") == "H10"``.
+    and ``IcdCode("H10") == "H10"``. Pickle and copy rebuild it through
+    ``__new__`` from that text, so a loaded code is validated again.
     """
 
     __slots__ = ()
 
-    def __new__(cls, chapter: str, group: str, subcode: str | None = None) -> "IcdCode":
-        text = f"{chapter}{group}" if subcode is None else f"{chapter}{group}.{subcode}"
+    def __new__(cls, text: str) -> "IcdCode":
         if _CODE_RE.fullmatch(text) is None:
             raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
         return super().__new__(cls, text)
@@ -49,10 +49,6 @@ class IcdCode(str):
     @property
     def subcode(self) -> str | None:
         return self[4:] or None
-
-    def __getnewargs__(self) -> tuple[str, str, str | None]:
-        # pickle and copy rebuild through __new__, so a loaded code is validated again
-        return self.chapter, self.group, self.subcode
 
 
 def parse_code(text: str) -> IcdCode:
@@ -72,10 +68,9 @@ def _parse_text(text: str) -> IcdCode:
     stripped = text.strip()
     if not stripped:
         raise InvalidFormatError("empty ICD code")
-    m = _CODE_RE.match(stripped)
-    if m is None:
+    if _CODE_RE.fullmatch(stripped) is None:
         raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
-    return IcdCode(*m.groups())
+    return IcdCode(stripped)
 
 
 def truncate_to_group(code: IcdCode) -> IcdCode:
@@ -83,9 +78,7 @@ def truncate_to_group(code: IcdCode) -> IcdCode:
 
     Identity for codes that already sit at group level, and idempotent.
     """
-    if code.subcode is None:
-        return code
-    return IcdCode(code.chapter, code.group)
+    return code if code.subcode is None else IcdCode(code[:3])
 
 
 def normalize_name(name: str) -> str:

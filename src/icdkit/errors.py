@@ -3,13 +3,9 @@
 :class:`ConfigError` (exit 2), and a bad library argument a plain ``ValueError``."""
 
 
-class IcdkitError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class InvalidFormatError(IcdkitError, ValueError):
+class InvalidFormatError(ValueError):
     """Input data does not have the expected shape or content (code, row, line or vector)."""
 
 
-class ConfigError(IcdkitError):
+class ConfigError(Exception):
     """Run configuration is missing, malformed, or references bad paths."""

@@ -14,26 +14,21 @@ from typing import Iterable
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """True/false positive and negative totals. ``tn`` only exists for
-    label-space (record x code) evaluation and stays None elsewhere."""
+    """True/false positive and negative totals. ``tn`` is counted only in
+    label-space (record x code) evaluation and is 0 elsewhere."""
 
     tp: int
     fp: int
     fn: int
-    tn: int | None = None
+    tn: int = 0
 
     def __post_init__(self) -> None:
-        for field in ("tp", "fp", "fn"):
+        for field in ("tp", "fp", "fn", "tn"):
             if getattr(self, field) < 0:
                 raise ValueError(f"{field} must be non-negative")
-        if self.tn is not None and self.tn < 0:
-            raise ValueError("tn must be non-negative")
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        tn = None
-        if self.tn is not None and other.tn is not None:
-            tn = self.tn + other.tn
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, tn)
+        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn)
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ def micro_report(counts: ConfusionCounts) -> MetricsReport:
 
 
 def sum_counts(per_doc: Iterable[ConfusionCounts]) -> ConfusionCounts:
-    total = ConfusionCounts(0, 0, 0, 0)
+    total = ConfusionCounts(0, 0, 0)
     for counts in per_doc:
         total = total + counts
     return total

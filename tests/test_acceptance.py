@@ -236,9 +236,9 @@ def test_criterion_04b_relaxed_acc_dominates_and_truncation_idempotent():
     rnd = random.Random(405)
     for _ in range(10_000):
         code = IcdCode(
-            chapter=chr(rnd.randint(ord("A"), ord("Z"))),
-            group=f"{rnd.randint(0, 99):02d}",
-            subcode=rnd.choice([None, str(rnd.randint(0, 9)), f"{rnd.randint(0, 99):02d}"]),
+            chr(rnd.randint(ord("A"), ord("Z")))
+            + f"{rnd.randint(0, 99):02d}"
+            + rnd.choice(["", f".{rnd.randint(0, 9)}", f".{rnd.randint(0, 99):02d}"])
         )
         once = truncate_to_group(code)
         assert truncate_to_group(once) == once

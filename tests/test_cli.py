@@ -51,6 +51,18 @@ class TestStats:
         assert "missing text file for rec002.ann" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_stray_txt_exits_3_naming_it(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("d1.txt", "d2.txt"):
+            (corpus / name).write_text("анемия", encoding="utf-8")
+        (corpus / "d1.ann").write_text("T1\tDisease 0 6\tанемия\n", encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", {"corpus_dir": corpus, "output_dir": out})
+        assert run_cli("stats", cfg) == 3
+        assert "missing annotation file for d2.txt" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, corpus_dir):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_config(tmp_path / "c1.json", {"corpus_dir": corpus_dir, "output_dir": out1})
@@ -289,6 +301,17 @@ class TestRetrievalCommands:
         assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 3
         assert capsys.readouterr().err == (f"error: {paths['queries'].resolve()}: mention_id 'q1': "
                                            "distance to entry 0 overflows a double\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_vectors_exit_3_naming_embeddings(self, tmp_path, capsys):
+        # build_index sees (id, vector) pairs, not lines, so the error names the file alone
+        paths = {"dictionary": tmp_path / "dictionary.tsv", "embeddings": tmp_path / "embeddings.jsonl",
+                 "output_dir": tmp_path / "out"}
+        paths["dictionary"].write_text("J00\tcold\n", encoding="utf-8")
+        paths["embeddings"].write_text('{"id": 0, "vector": []}\n', encoding="utf-8")
+        assert run_cli("index", write_config(tmp_path / "cfg.json", paths)) == 3
+        assert capsys.readouterr().err == (f"error: {paths['embeddings'].resolve()}: "
+                                           "vectors must have at least one component\n")
         assert not (tmp_path / "out").exists()
 
     def test_baseline_over_no_candidates_names_file_and_line(self, tmp_path, capsys):
@@ -550,6 +573,9 @@ class TestMalformedRows:
         ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"], {"J00": 1}]}'),
         ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": {}}'),
         ("import-selection", "candidates", '{"mention_id": "m1", "candidates": {}}'),
+        ("export-candidates", "queries", '{"mention_id": "q1", "mention": {"a": 1}, "vector": [1.0, 2.0]}'),
+        ("eval-dp", "training_counts", "J00"),
+        ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": [{"start": 5, "end": 3}]}'),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
             "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
@@ -565,7 +591,8 @@ class TestMalformedRows:
             "vector-bool-component", "query-string-component", "query-bool-component",
             "mention-lone-surrogate", "id-beyond-64-bits", "records-object-gold",
             "records-object-predicted", "gold-object-codes", "predictions-object-codes",
-            "annotator-object-codes", "predictions-object-spans", "candidates-object-candidates"])
+            "annotator-object-codes", "predictions-object-spans", "candidates-object-candidates",
+            "query-object-mention", "counts-no-tab", "span-reversed"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         retrieval = {
@@ -680,7 +707,7 @@ class TestConfigHandling:
         assert "verbosity" in capsys.readouterr().err
 
     @pytest.mark.parametrize("body", [
-        {"options": 5}, {"paths": ["corpus_dir"]}, {"paths": {"corpus_dir": 5}},
+        {"options": 5}, {"paths": ["corpus_dir"]}, {"paths": {"corpus_dir": 5}}, [],
     ])
     def test_malformed_sections(self, tmp_path, body, capsys):
         cfg = tmp_path / "cfg.json"
@@ -741,7 +768,8 @@ class TestConfigHandling:
         }, options={"fraction": 0.9})
         assert run_cli("stats", cfg) == 2
         # wrongly typed values are config errors too, not tracebacks or silent casts
-        for name, value in (("k", "15"), ("quorum", 2.5), ("per_record_mean", "yes")):
+        for name, value in (("k", "15"), ("quorum", 2.5), ("per_record_mean", "yes"), ("k", 0),
+                            ("min_count", -1)):
             cfg = write_config(tmp_path / f"cfg_{name}.json", {
                 "corpus_dir": corpus_dir, "output_dir": tmp_path / "o",
             }, options={name: value})

@@ -21,15 +21,15 @@ from icdkit.codes import (
 from icdkit.errors import InvalidFormatError
 
 code_strategy = st.builds(
-    IcdCode,
-    chapter=st.sampled_from(string.ascii_uppercase),
-    group=st.integers(0, 99).map(lambda n: f"{n:02d}"),
-    subcode=st.one_of(
-        st.none(),
-        st.integers(0, 9).map(str),
-        st.integers(0, 99).map(lambda n: f"{n:02d}"),
+    "{}{}{}".format,
+    st.sampled_from(string.ascii_uppercase),
+    st.integers(0, 99).map(lambda n: f"{n:02d}"),
+    st.one_of(
+        st.just(""),
+        st.integers(0, 9).map(lambda n: f".{n}"),
+        st.integers(0, 99).map(lambda n: f".{n:02d}"),
     ),
-)
+).map(IcdCode)
 
 
 def key_set(dictionary):
@@ -87,7 +87,7 @@ class TestParseCode:
             assert code == str(code)
             assert hash(code) == hash(str(code))
             assert type(str(code)) is str
-        assert IcdCode("H", "10") == "H10" and repr(IcdCode("H", "10", "3")) == "'H10.3'"
+        assert IcdCode("H10") == "H10" and repr(IcdCode("H10.3")) == "'H10.3'"
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     @pytest.mark.parametrize("text", ["H10", "E11.9", "A00.01"])
@@ -97,11 +97,19 @@ class TestParseCode:
             assert type(loaded) is IcdCode and loaded == code
             assert (loaded.chapter, loaded.group, loaded.subcode) == (code.chapter, code.group, code.subcode)
 
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_validates_the_text(self, protocol):
+        # protocols 2+ rebuild through IcdCode.__new__, so a tampered pickle cannot load a bad code
+        tampered = pickle.dumps(parse_code("H10.3"), protocol=protocol).replace(b"H10.3", b"H10.x")
+        with pytest.raises(InvalidFormatError, match="^not an ICD-10 code: 'H10.x'$"):
+            pickle.loads(tampered)
+
     @pytest.mark.parametrize("parts", [("h", "10"), ("H", "1"), ("H", "10", "123"), ("H", "10", ""),
                                        ("H", "10", "1\n"), ("H", "١٠")])
     def test_construction_from_bad_parts_raises(self, parts):
+        chapter, group, *subcode = parts
         with pytest.raises(InvalidFormatError, match="^not an ICD-10 code: "):
-            IcdCode(*parts)
+            IcdCode(".".join((chapter + group, *subcode)))
 
     def test_instances_have_no_dict(self):
         code = parse_code("H10.3")

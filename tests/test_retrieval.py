@@ -76,7 +76,7 @@ def retrieved(index, query, k):
 
 
 def code_index(rows):
-    codes = [IcdCode("A", f"{i % 100:02d}", None) for i in range(len(rows))]
+    codes = [IcdCode(f"A{i % 100:02d}") for i in range(len(rows))]
     return EmbeddingIndex(codes, np.array(rows, dtype=np.float64).reshape(len(rows), -1))
 
 
@@ -578,7 +578,7 @@ class TestDictionaryScale:
 
         n, dim = 17_762, 64
         rng = np.random.default_rng(42)
-        codes = [IcdCode("A", f"{i % 100:02d}", str(i % 10)) for i in range(n)]
+        codes = [IcdCode(f"A{i % 100:02d}.{i % 10}") for i in range(n)]
         index = EmbeddingIndex(codes, rng.normal(0, 1, size=(n, dim)))
         queries = rng.normal(0, 1, size=(50, dim))
         started = time.perf_counter()
