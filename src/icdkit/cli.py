@@ -41,7 +41,7 @@ from icdkit.diagnosis import (
     weighted_f1,
 )
 from icdkit.errors import ConfigError, InvalidFormatError
-from icdkit.jsonl import dump_jsonl, parse_json, read_jsonl, read_text, read_unique, typed_field
+from icdkit.jsonl import dump_jsonl, parse_json, read_text, read_unique, typed_field
 from icdkit.metrics import micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 
@@ -232,7 +232,7 @@ def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
         check_annotators(sets, len(records[0]) if records else len(sets))
         records.append(sets)
 
-    read_jsonl(config.path("annotator_sets"), add_row)
+    read_unique(config.path("annotator_sets"), add_row, "record_id")
     ratio = iaa_ratio(records, quorum=config.options.quorum,
                       per_record_mean=config.options.per_record_mean)
     jaccard = pairwise_jaccard(records)

@@ -16,7 +16,6 @@ degrades to that full scan.
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import signal
@@ -29,7 +28,7 @@ import numpy as np
 
 from icdkit.codes import IcdCode, IcdDictionary, parse_code, truncate_to_group
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import frame_lines, parse_json, read_lines, typed_field
+from icdkit.jsonl import parse_json, read_lines, typed_field
 
 # An embeddings file this large is parsed by two processes: from here up the
 # split was no slower than a one-process read even with the other CPU busy.
@@ -228,10 +227,10 @@ def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
 
     Where ``CAN_SPLIT``, a file of at least ``SPLIT_BYTES`` is parsed by two
     processes: this one reads up to the first LF at or after half its bytes,
-    and a forked worker reads the rest. On any fault (a bad row in either
-    half, a lost worker, no pipe or process to be had) the whole file is
-    read again in this process, so the pairs, their float bits and the
-    error raised are those of a one-process read.
+    and a forked worker reads the rest, each half by :func:`read_lines`. On
+    any fault (a bad row in either half, a lost worker, no pipe or process
+    to be had) the whole file is read again in this process, so the pairs,
+    their float bits and the error raised are those of a one-process read.
     """
     mid = _split_point(path)
     if mid is None:
@@ -248,7 +247,7 @@ def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
                 finally:
                     os._exit(0)
             sink.close()  # so a worker that dies ends the receive
-            rows = _read_part(path, 0, mid) + _receive_rows(pipe)
+            rows = read_lines(path, _embedding_row, stop=mid) + _receive_rows(pipe)
     except Exception:
         pass  # an interrupt or exit is never retried
     finally:
@@ -280,24 +279,11 @@ def _split_point(path: str | Path) -> int | None:
     return mid if mid < size else None
 
 
-def _read_part(path: str | Path, start: int, stop: int | None) -> list[tuple[int, np.ndarray]]:
-    """The rows of the file's bytes ``start:stop``, to its end if ``stop`` is
-    None; ``start`` begins a line. A BOM that begins a later part begins no
-    file, so it stays a character and fails its row as in a one-process read.
-    Lines are numbered from the part's first; no caller reports them."""
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        # read to the end, the file streams; a range is read whole
-        stream = handle if stop is None else io.BytesIO(handle.read(stop - start))
-        with io.TextIOWrapper(stream, encoding="utf-8" if start else "utf-8-sig", newline=None) as text:
-            return frame_lines(text, path, _embedding_row)
-
-
 def _send_rows(path: str | Path, start: int, pipe: BinaryIO) -> None:
     """Parse the file's lines from byte ``start`` on, then write to ``pipe``
     and close it: the pickled ids and vector lengths, then every component
     as raw float64 bytes. A fault in the part writes nothing."""
-    rows = _read_part(path, start, None)
+    rows = read_lines(path, _embedding_row, start=start)
     with pipe:
         pickle.dump(([entry_id for entry_id, _ in rows], [len(vector) for _, vector in rows]), pipe)
         for _, vector in rows:

@@ -576,6 +576,10 @@ class TestMalformedRows:
         ("export-candidates", "queries", '{"mention_id": "q1", "mention": {"a": 1}, "vector": [1.0, 2.0]}'),
         ("eval-dp", "training_counts", "J00"),
         ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": [{"start": 5, "end": 3}]}'),
+        ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"], ["J00"]]}\n'
+                                        '{"record_id": "r1", "annotators": [["J00"], ["J01"]]}'),
+        ("agreement", "annotator_sets", '{"annotators": [["J00"], ["J00"]]}'),
+        ("agreement", "annotator_sets", '{"record_id": 5, "annotators": [["J00"], ["J00"]]}'),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
             "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
@@ -592,7 +596,8 @@ class TestMalformedRows:
             "mention-lone-surrogate", "id-beyond-64-bits", "records-object-gold",
             "records-object-predicted", "gold-object-codes", "predictions-object-codes",
             "annotator-object-codes", "predictions-object-spans", "candidates-object-candidates",
-            "query-object-mention", "counts-no-tab", "span-reversed"])
+            "query-object-mention", "counts-no-tab", "span-reversed", "annotator-repeated-record-id",
+            "annotator-missing-record-id", "annotator-int-record-id"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         retrieval = {
@@ -705,6 +710,12 @@ class TestConfigHandling:
         }), encoding="utf-8")
         assert run_cli("stats", cfg) == 2
         assert "verbosity" in capsys.readouterr().err
+
+    def test_unknown_path_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"paths": {"bogus": "x"}}), encoding="utf-8")
+        assert run_cli("stats", cfg) == 2
+        assert capsys.readouterr().err == "config error: unknown path keys: ['bogus']\n"
 
     @pytest.mark.parametrize("body", [
         {"options": 5}, {"paths": ["corpus_dir"]}, {"paths": {"corpus_dir": 5}}, [],

@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icdkit.codes import (
+    DictEntry,
     IcdCode,
+    IcdDictionary,
     load_dictionary,
     load_dictionary_tsv,
     merge_synonyms,
@@ -175,6 +177,10 @@ class TestLoadDictionary:
         assert [e.entry_id for e in d] == [0, 1, 2]
         assert [e.entry_id for e in d if e.code == parse_code("H10")] == [1, 2]
         assert d.entry(0).name == "cold"
+
+    def test_entry_ids_must_be_dense(self):
+        with pytest.raises(ValueError, match=r"^entry ids must be dense 0\.\.N-1, got 1 at 0$"):
+            IcdDictionary([DictEntry(1, parse_code("H10"), "x")])
 
     def test_codes_first_occurrence_order(self):
         d = load_dictionary([("J00", "a"), ("H10", "b"), ("J00", "c")])

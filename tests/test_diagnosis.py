@@ -68,6 +68,14 @@ class TestBuildLabelSpace:
         space = build_label_space(records, counts)
         assert math.isclose(sum(space.weights.values()), 1.0, rel_tol=0, abs_tol=1e-9)
 
+    @pytest.mark.parametrize("weights, message", [
+        ({}, "weights must be defined exactly on the label space"),
+        ({"A00": 0.5}, "weights sum to 0.5, expected 1"),
+    ], ids=["off-space", "not-one"])
+    def test_bad_weights_raise(self, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LabelSpace((code("A00"),), {code(c): w for c, w in weights.items()})
+
 
 class TestRestrict:
     def test_out_of_space_prediction_dropped(self):

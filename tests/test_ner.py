@@ -106,6 +106,11 @@ class TestMicroReport:
         assert (report.precision, report.recall, report.f1) == (0, 0, 0)
         assert report.accuracy == 0
 
+    @pytest.mark.parametrize("counts, field", [((-1, 0, 0), "tp"), ((0, 0, 0, -2), "tn")])
+    def test_negative_count_raises(self, counts, field):
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative$"):
+            ConfusionCounts(*counts)
+
     @given(st.integers(0, 500), st.integers(0, 500), st.integers(0, 500))
     def test_accuracy_f1_identity(self, tp, fp, fn):
         # accuracy = f1 / (2 - f1) holds exactly for the micro Jaccard accuracy

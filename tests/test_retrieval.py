@@ -129,6 +129,14 @@ class TestBuildIndex:
         arr[0, 0] = 9.0
         assert index.matrix.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
+    @pytest.mark.parametrize("n_codes, matrix, message", [
+        (1, np.zeros(3), "embedding matrix must be 2-D"),
+        (2, np.zeros((1, 2)), "2 codes for 1 vectors"),
+    ], ids=["one-dim", "count"])
+    def test_index_shape_checked(self, n_codes, matrix, message):
+        with pytest.raises(InvalidFormatError, match=f"^{message}$"):
+            EmbeddingIndex([parse_code("H10.0")] * n_codes, matrix)
+
 
 class TestRetrieve:
     def test_exact_hit_at_distance_zero(self):
@@ -164,6 +172,11 @@ class TestRetrieve:
     def test_k_larger_than_index(self):
         index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]}.items())
         assert len(retrieve(index, [0.5], k=10).hits) == 2
+
+    def test_k_below_one(self):
+        index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]}.items())
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            retrieve(index, [0.5], k=0)
 
     def test_distances_non_decreasing(self):
         index = build_index(tiny_dictionary(5),
@@ -307,6 +320,10 @@ def ranked(codes, query_id="q"):
 
 
 class TestAccAtK:
+    def test_k_below_one(self):
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            acc_at_k([], 0)
+
     def test_gold_first_everywhere(self):
         queries = [(ranked(["H10.0", "J00"]), parse_code("H10.0")),
                    (ranked(["E11.9"]), parse_code("E11.9"))]
@@ -402,13 +419,20 @@ class TestEmbeddingFiles:
 @contextlib.contextmanager
 def split_floor(floor):
     """``retrieval.SPLIT_BYTES`` set to ``floor``; yields two lists that gain an
-    item per fork and per ``read_lines`` call of the load, the one-process read."""
+    item per fork and per whole-file ``read_lines`` call of the load, the
+    one-process read; a half passes ``start`` or ``stop`` and is not counted."""
     forks, reads = [], []
     fork, read_lines = os.fork, retrieval.read_lines
+
+    def counted_read(*args, **kwargs):
+        if not {"start", "stop"} & kwargs.keys():
+            reads.append(1)
+        return read_lines(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(retrieval, "SPLIT_BYTES", floor)
         mp.setattr(os, "fork", lambda: forks.append(1) or fork())
-        mp.setattr(retrieval, "read_lines", lambda *args: reads.append(1) or read_lines(*args))
+        mp.setattr(retrieval, "read_lines", counted_read)
         yield forks, reads
 
 
