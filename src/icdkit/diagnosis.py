@@ -11,6 +11,7 @@ micro confusion counts.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -210,7 +211,10 @@ def read_training_counts_tsv(path: str | Path) -> dict[IcdCode, int]:
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 2:
             raise InvalidFormatError("expected CODE<TAB>COUNT")
-        code, count = parse_code(parts[0]), int(parts[1])
+        code, text = parse_code(parts[0]), parts[1].strip()
+        if re.fullmatch("-?[0-9]+", text) is None:
+            raise InvalidFormatError(f"count must be ASCII decimal digits, got {text!r}")
+        count = int(text)
         if count < 0:
             raise InvalidFormatError("negative count")
         counts[code] = counts.get(code, 0) + count

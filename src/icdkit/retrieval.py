@@ -22,7 +22,7 @@ import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -227,8 +227,9 @@ def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
 
     Where ``CAN_SPLIT``, a file of at least ``SPLIT_BYTES`` is parsed by two
     processes: this one reads up to the first LF at or after half its bytes,
-    and a forked worker reads the rest, each half by :func:`read_lines`. On
-    any fault (a bad row in either half, a lost worker, no pipe or process
+    and a forked worker reads the rest, each half by :func:`read_lines`, and
+    pickles its rows to this one through a pipe. On any fault (a bad row in
+    either half, a lost worker or a stream it cut short, no pipe or process
     to be had) the whole file is read again in this process, so the pairs,
     their float bits and the error raised are those of a one-process read.
     """
@@ -243,11 +244,12 @@ def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
             if pid == 0:
                 try:  # the worker never returns into its caller's code
                     pipe.close()
-                    _send_rows(path, mid, sink)
+                    pickle.dump(read_lines(path, _embedding_row, start=mid), sink, pickle.HIGHEST_PROTOCOL)
+                    sink.close()  # os._exit flushes no buffer
                 finally:
                     os._exit(0)
             sink.close()  # so a worker that dies ends the receive
-            rows = read_lines(path, _embedding_row, stop=mid) + _receive_rows(pipe)
+            rows = read_lines(path, _embedding_row, stop=mid) + pickle.load(pipe)
     except Exception:
         pass  # an interrupt or exit is never retried
     finally:
@@ -277,28 +279,6 @@ def _split_point(path: str | Path) -> int | None:
         handle.readline()
         mid = handle.tell()
     return mid if mid < size else None
-
-
-def _send_rows(path: str | Path, start: int, pipe: BinaryIO) -> None:
-    """Parse the file's lines from byte ``start`` on, then write to ``pipe``
-    and close it: the pickled ids and vector lengths, then every component
-    as raw float64 bytes. A fault in the part writes nothing."""
-    rows = read_lines(path, _embedding_row, start=start)
-    with pipe:
-        pickle.dump(([entry_id for entry_id, _ in rows], [len(vector) for _, vector in rows]), pipe)
-        for _, vector in rows:
-            pipe.write(vector)
-
-
-def _receive_rows(pipe: BinaryIO) -> list[tuple[int, np.ndarray]]:
-    """The rows :func:`_send_rows` wrote, as views of one float64 buffer; a
-    worker that wrote nothing or too little makes this raise."""
-    # pickle.load reads no byte past the header; a short one raises
-    ids, lengths = pickle.load(pipe)
-    flat = np.empty(sum(lengths))
-    if pipe.readinto(flat) < flat.nbytes:
-        raise ValueError("the worker's rows ended early")
-    return list(zip(ids, np.split(flat, np.cumsum(lengths)[:-1])))
 
 
 def export_candidates(

@@ -461,6 +461,16 @@ class TestAgreement:
         assert set(results["pairwise_jaccard"]) == {"1-2", "1-3", "2-3"}
         assert results["pairwise_jaccard"]["1-2"] == pytest.approx(0.5)
 
+    def test_empty_file_reports_no_agreement(self, tmp_path):
+        out = tmp_path / "out"
+        sets_file = tmp_path / "annotators.jsonl"
+        sets_file.write_bytes(b"")
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"annotator_sets": sets_file, "output_dir": out})
+        assert run_cli("agreement", cfg) == 0
+        results = load_report(out, "agreement")["results"]
+        assert (results["n_records"], results["iaa_ratio"], results["pairwise_jaccard"]) == (0, 0.0, {})
+
 
 class TestMalformedRows:
     @pytest.mark.parametrize("command, bad_key, row", [
@@ -575,6 +585,9 @@ class TestMalformedRows:
         ("import-selection", "candidates", '{"mention_id": "m1", "candidates": {}}'),
         ("export-candidates", "queries", '{"mention_id": "q1", "mention": {"a": 1}, "vector": [1.0, 2.0]}'),
         ("eval-dp", "training_counts", "J00"),
+        ("eval-dp", "training_counts", "J00\t1_000"),
+        ("eval-dp", "training_counts", "J00\t\u0663"),
+        ("eval-dp", "training_counts", "J00\t+5"),
         ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": [{"start": 5, "end": 3}]}'),
         ("agreement", "annotator_sets", '{"record_id": "r1", "annotators": [["J00"], ["J00"]]}\n'
                                         '{"record_id": "r1", "annotators": [["J00"], ["J01"]]}'),
@@ -596,7 +609,8 @@ class TestMalformedRows:
             "mention-lone-surrogate", "id-beyond-64-bits", "records-object-gold",
             "records-object-predicted", "gold-object-codes", "predictions-object-codes",
             "annotator-object-codes", "predictions-object-spans", "candidates-object-candidates",
-            "query-object-mention", "counts-no-tab", "span-reversed", "annotator-repeated-record-id",
+            "query-object-mention", "counts-no-tab", "counts-underscore", "counts-non-ascii-digit",
+            "counts-plus-sign", "span-reversed", "annotator-repeated-record-id",
             "annotator-missing-record-id", "annotator-int-record-id"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):

@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import os
+import pickle
 import random
 import signal
 import warnings
@@ -461,6 +462,13 @@ def loaded(path, floor):
 IN_PROCESS = 2**63  # a floor no file reaches
 
 
+class KilledWhenPickled:
+    """A vector whose pickling kills the process that pickles it."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
 embedding_lines = st.one_of(
     *[st.builds(lambda i, v: json.dumps({"id": i, "vector": v}), st.integers(0, 99),
                 st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))] * 3,
@@ -543,10 +551,37 @@ class TestSplitLoad:
                 return as_vector(values)
             if death == "killed mid-parse":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return values  # it has a length, but the pipe cannot write it
+            return KilledWhenPickled()
 
         monkeypatch.setattr(retrieval, "as_vector", fails_in_worker)
         assert loaded(path, 0) == loaded(path, IN_PROCESS)
+
+    def test_stream_cut_short_reads_in_one_process(self, tmp_path, monkeypatch):
+        # rows of 2000 floats: five of them fill more than one 64 KiB pickle
+        # frame, so the worker, killed at the sixth, has written part of its rows
+        path = tmp_path / "v.jsonl"
+        write_embeddings_jsonl(path, [(i, [i + j / 7 for j in range(2000)]) for i in range(16)])
+        expected = loaded(path, IN_PROCESS)
+        parent, as_vector, calls = os.getpid(), retrieval.as_vector, []
+        load, peeked = pickle.load, []
+
+        def killed_at_sixth_row(values):
+            if os.getpid() != parent:
+                calls.append(1)
+                if len(calls) == 6:
+                    return KilledWhenPickled()
+            return as_vector(values)
+
+        def peeked_load(pipe):
+            peeked.append(pipe.peek())  # waits for the first bytes or the end
+            return load(pipe)
+
+        monkeypatch.setattr(retrieval, "as_vector", killed_at_sixth_row)
+        monkeypatch.setattr(pickle, "load", peeked_load)
+        with split_floor(0) as (forks, reads):
+            assert loaded(path, 0) == expected
+        assert len(forks) == len(reads) == 1
+        assert len(peeked) == 1 and peeked[0]  # the stream was cut short, not empty
 
     def test_interrupt_in_callers_half_is_not_retried(self, tmp_path, monkeypatch):
         path = tmp_path / "v.jsonl"
