@@ -181,13 +181,13 @@ def _query_row(row: dict, dim: int) -> dict:
 
 
 def _candidates(row: dict) -> list[dict]:
-    # only the key selected_candidate indexes, every code checked here
+    # only the key import_selection reads, every code checked here
     return [{"code": parse_code(cand["code"])} for cand in typed_field(row, "candidates", list)]
 
 
 def _resolve(by_mention: Mapping[str, list], selection: Mapping) -> dict:
-    from icdkit.retrieval import selected_candidate
-    return {"mention_id": selection["mention_id"], "code": selected_candidate(by_mention, selection)["code"]}
+    from icdkit.retrieval import import_selection
+    return {"mention_id": selection["mention_id"], "code": import_selection(by_mention, selection)}
 
 
 def _rank_one(row: dict) -> dict:
@@ -432,8 +432,12 @@ def run(command: str, config: RunConfig) -> dict:
     out_dir = config.path("output_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     report_text = json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-    # the report last; each file is renamed into place whole, never seen half written
-    for filename, text in {**artifacts, command.replace("-", "_") + ".json": report_text}.items():
+    report_name = command.replace("-", "_") + ".json"
+    # the report last; with artifacts, an old report is removed first, so a report
+    # on disk is from the run that wrote the files beside it. Each is renamed in whole
+    if artifacts:
+        (out_dir / report_name).unlink(missing_ok=True)
+    for filename, text in {**artifacts, report_name: report_text}.items():
         tmp = out_dir / (filename + ".tmp")
         try:
             tmp.write_text(text, encoding="utf-8")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,12 +75,6 @@ def build_label_space(
     else:
         weights = {code: 0.0 for code in ordered}
     zero = tuple(code for code in ordered if counts[code] == 0)
-    if zero:
-        warnings.warn(
-            f"{len(zero)} label-space code(s) have zero training count and weight 0: "
-            + ", ".join(zero[:5]),
-            stacklevel=2,
-        )
     return LabelSpace(ordered, weights, zero)
 
 

@@ -1,4 +1,4 @@
-"""Dense dictionary retrieval and candidate export for an external reranker.
+"""Dense dictionary retrieval, and an external reranker's boundary: candidates out, one pick in.
 
 The index holds one embedding per dictionary entry and answers exact
 Euclidean top-k queries, ties broken by the lower entry id so every
@@ -305,27 +305,14 @@ def export_candidates(
     }
 
 
-def import_selection(
-    candidate_records: Iterable[Mapping],
-    selections: Iterable[Mapping],
-) -> dict[str, IcdCode]:
-    """Resolve reranker selections against exported candidate records.
-
-    Each selection must name an exported mention and a 1-based rank
-    within its candidate list; anything else raises :class:`InvalidFormatError`.
-    """
-    by_mention = {rec["mention_id"]: rec["candidates"] for rec in candidate_records}
-    return {selection["mention_id"]: parse_code(selected_candidate(by_mention, selection)["code"])
-            for selection in selections}
-
-
-def selected_candidate(by_mention: Mapping[str, Sequence[Mapping]], selection: Mapping) -> Mapping:
-    """The candidate ``selection`` names; an unknown mention or a rank off the list raises."""
+def import_selection(candidates: Mapping[str, Sequence[Mapping]], selection: Mapping) -> IcdCode:
+    """The code of the candidate ``selection`` names, by mention id and 1-based rank, among
+    ``candidates`` (mention id to ranked list); an unknown mention or a rank off the list raises."""
     rank = typed_field(selection, "selected_rank", int)
     mention_id = selection["mention_id"]
-    if mention_id not in by_mention:
+    if mention_id not in candidates:
         raise InvalidFormatError(f"selection references unknown mention_id {mention_id!r}")
-    candidates = by_mention[mention_id]
-    if rank < 1 or rank > len(candidates):
-        raise InvalidFormatError(f"{mention_id}: selected rank {rank} of {len(candidates)} candidates")
-    return candidates[rank - 1]
+    ranked = candidates[mention_id]
+    if rank < 1 or rank > len(ranked):
+        raise InvalidFormatError(f"{mention_id}: selected rank {rank} of {len(ranked)} candidates")
+    return parse_code(ranked[rank - 1]["code"])

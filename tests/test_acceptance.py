@@ -339,7 +339,6 @@ def test_criterion_06_agreement_metrics():
 # 7. Diagnosis-prediction metrics against full enumeration
 # --------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore:.*zero training count.*")
 def test_criterion_07_dp_metrics_match_enumeration_oracle():
     rnd = random.Random(707)
     pool = [parse_code(f"A{i:02d}") for i in range(20)]

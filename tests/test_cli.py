@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import errno
 import json
 import os
 import subprocess
@@ -99,6 +100,25 @@ class TestStats:
         monkeypatch.undo()
         assert (out / "stats.json").read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["stats.json"]
+
+    def test_failed_rerun_leaves_no_stale_report(self, tmp_path, corpus_dir, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", {"corpus_dir": corpus_dir, "output_dir": out})
+        assert run_cli("parse", cfg) == 0
+        replace, calls = os.replace, []
+
+        def full_disk_on_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", full_disk_on_second)
+        assert run_cli("parse", cfg) == 3
+        monkeypatch.undo()
+        # the new parsed.jsonl is on disk, so no report may vouch for it
+        assert [Path(dst).name for dst in calls] == ["parsed.jsonl", "doc_codes.jsonl"]
+        assert not (out / "parse.json").exists()
 
     def test_cli_import_leaves_numpy_unloaded(self):
         # only the retrieval steps pay for numpy
@@ -443,6 +463,22 @@ class TestEvalDp:
         monkeypatch.setattr(diagnosis, "code_counts", lambda *args: calls.append(args) or code_counts(*args))
         assert run_cli("eval-dp", cfg) == 0
         assert len(calls) == 1
+
+    def test_zero_count_code_under_warnings_as_errors(self, tmp_path):
+        out = tmp_path / "out"
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"record_id": "r1", "gold": ["A00", "B00"], "predicted": ["A00"]}\n',
+                           encoding="utf-8")
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("A00\t30\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json", {
+            "records": records, "training_counts": counts, "output_dir": out,
+        }, options={"fraction": 0.5, "min_count": 1})
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        result = subprocess.run([sys.executable, "-W", "error", "-m", "icdkit.cli", "eval-dp",
+                                 "--config", str(cfg)], capture_output=True, text=True, env=env, timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert load_report(out, "eval-dp")["results"]["zero_weight_codes"] == ["B00"]
 
 
 class TestAgreement:

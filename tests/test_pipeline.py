@@ -90,7 +90,8 @@ def test_retrieve_export_select_aggregate_round_trip():
     lines = [json.loads(json.dumps(record, ensure_ascii=False)) for record in exported]
     selections = [{"mention_id": "m1", "selected_rank": 1},
                   {"mention_id": "m2", "selected_rank": 1}]
-    resolved = import_selection(lines, selections)
+    by_mention = {line["mention_id"]: line["candidates"] for line in lines}
+    resolved = {selection["mention_id"]: import_selection(by_mention, selection) for selection in selections}
     predicted_codes = list(resolved.values())
     assert str(resolved["m1"]) == "D50.9"
 

@@ -76,6 +76,24 @@ def retrieved(index, query, k):
     return [(h.entry_id, h.distance.hex()) for h in hits]
 
 
+def rows_read(index, queries, k):
+    """How many rows of ``index.matrix`` each ``retrieve`` call rescores: the
+    matrix is swapped for a view that records the length of each array index.
+    A full rescan returns the same hits as the shortlist, so only this tells."""
+    reads = []
+
+    class RecordingMatrix(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray):
+                reads.append(len(key))
+            return super().__getitem__(key)
+
+    index.matrix = index.matrix.view(RecordingMatrix)
+    for query in queries:
+        retrieve(index, query, k)
+    return reads
+
+
 def code_index(rows):
     codes = [IcdCode(f"A{i % 100:02d}") for i in range(len(rows))]
     return EmbeddingIndex(codes, np.array(rows, dtype=np.float64).reshape(len(rows), -1))
@@ -284,6 +302,7 @@ class TestShortlistMatchesScan:
         index = code_index(rows)
         for k in (1, 2, len(rows) - 1):
             assert retrieved(index, query, k) == scan_oracle(index, query, k)
+        assert rows_read(index, [query], 1) == [len(rows)]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_norms_near_overflow(self, seed):
@@ -307,12 +326,21 @@ class TestShortlistMatchesScan:
         index = code_index(rows)
         for k in (3, 4, 100):
             assert retrieved(index, [0.2, 0.2], k) == scan_oracle(index, [0.2, 0.2], k)
+            assert rows_read(index, [[0.2, 0.2]], k) == [3]
         one = code_index([[0.1, 0.7]])
         assert retrieved(one, [0.2, 0.2], 1) == scan_oracle(one, [0.2, 0.2], 1)
 
     def test_empty_index(self):
         index = build_index(load_dictionary([]), [])
         assert retrieved(index, [0.5], 1) == scan_oracle(index, [0.5], 1) == []
+
+    def test_random_rows_rescore_at_most_2k(self):
+        # the shortlist holds about k rows; the exact top k of 2000 never
+        # needs all of them rescored
+        rng = np.random.default_rng(3)
+        index = code_index(rng.normal(0, 1, size=(2000, 16)))
+        reads = rows_read(index, rng.normal(0, 1, size=(20, 16)), k=15)
+        assert len(reads) == 20 and max(reads) <= 30, reads
 
 
 def ranked(codes, query_id="q"):
@@ -664,27 +692,29 @@ class TestCandidateExport:
         assert self.record["candidates"][2]["name"] == "name 2"
 
     def test_selection_resolves_to_candidate_code(self):
-        resolved = import_selection([self.record], [{"mention_id": "m1", "selected_rank": 3}])
-        assert str(resolved["m1"]) == "H10.0"
+        by_mention = {"m1": self.record["candidates"]}
+        assert import_selection(by_mention, {"mention_id": "m1", "selected_rank": 3}) == "H10.0"
 
     def test_selection_out_of_range(self):
         with pytest.raises(InvalidFormatError, match="^m1: selected rank 16 of 15 candidates$"):
-            import_selection([self.record], [{"mention_id": "m1", "selected_rank": 16}])
+            import_selection({"m1": self.record["candidates"]}, {"mention_id": "m1", "selected_rank": 16})
 
     def test_selection_below_one(self):
         with pytest.raises(InvalidFormatError, match="^m1: selected rank 0 of 15 candidates$"):
-            import_selection([self.record], [{"mention_id": "m1", "selected_rank": 0}])
+            import_selection({"m1": self.record["candidates"]}, {"mention_id": "m1", "selected_rank": 0})
 
     @pytest.mark.parametrize("bad_rank", ["2", 2.0, True])
     def test_selected_rank_must_be_int(self, bad_rank):
         with pytest.raises(InvalidFormatError, match="selected_rank must be int"):
-            import_selection([self.record], [{"mention_id": "m1", "selected_rank": bad_rank}])
+            import_selection({"m1": self.record["candidates"]}, {"mention_id": "m1", "selected_rank": bad_rank})
 
     def test_unknown_mention(self):
         with pytest.raises(InvalidFormatError, match="^selection references unknown mention_id 'zzz'$"):
-            import_selection([self.record], [{"mention_id": "zzz", "selected_rank": 1}])
+            import_selection({"m1": self.record["candidates"]}, {"mention_id": "zzz", "selected_rank": 1})
 
     def test_round_trip_through_jsonl_text(self):
         line = json.dumps(self.record, ensure_ascii=False)
-        resolved = import_selection([json.loads(line)], [{"mention_id": "m1", "selected_rank": 1}])
-        assert str(resolved["m1"]) == "H10.0"
+        record = json.loads(line)
+        resolved = import_selection({record["mention_id"]: record["candidates"]},
+                                    {"mention_id": "m1", "selected_rank": 1})
+        assert isinstance(resolved, IcdCode) and resolved == "H10.0"
