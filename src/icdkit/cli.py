@@ -42,7 +42,7 @@ from icdkit.diagnosis import (
 )
 from icdkit.errors import ConfigError, InvalidFormatError
 from icdkit.jsonl import dump_jsonl, parse_json, read_text, read_unique, typed_field
-from icdkit.metrics import micro_report, sum_counts
+from icdkit.metrics import ConfusionCounts, micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 
 if TYPE_CHECKING:  # numpy costs ~0.17 s, so only retrieval steps import retrieval
@@ -299,7 +299,7 @@ def cmd_eval_ner(config: RunConfig) -> tuple[dict, dict[str, str]]:
     unknown = sorted(set(predictions) - known)
     if unknown:
         raise InvalidFormatError(f"{predictions_path}: predictions reference unknown doc_ids: {unknown[:5]}")
-    per_doc = []
+    total = ConfusionCounts(0, 0, 0)
     missing = 0
     for doc in docs:
         pred_spans = predictions.get(doc.doc_id)
@@ -308,8 +308,8 @@ def cmd_eval_ner(config: RunConfig) -> tuple[dict, dict[str, str]]:
             pred_spans = []
         # a span linked to several codes is still one gold mention
         gold_spans = list(dict.fromkeys((span.start, span.end) for span, _ in doc.entities))
-        per_doc.append(match_spans([(span.start, span.end) for span in pred_spans], gold_spans))
-    results = asdict(micro_report(sum_counts(per_doc)))
+        total += match_spans([(span.start, span.end) for span in pred_spans], gold_spans)
+    results = asdict(micro_report(total))
     results.update({"n_docs": len(docs), "n_docs_without_predictions": missing})
     return results, {}
 

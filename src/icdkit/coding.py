@@ -11,11 +11,11 @@ group never count twice.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code, truncate_to_group
 from icdkit.jsonl import read_grouped, typed_field
-from icdkit.metrics import ConfusionCounts, MetricsReport, micro_report, sum_counts
+from icdkit.metrics import ConfusionCounts, MetricsReport, micro_report
 
 
 def aggregate_document(
@@ -42,11 +42,6 @@ def aggregate_relaxed(
     )
 
 
-def corpus_micro(per_doc: Iterable[ConfusionCounts]) -> MetricsReport:
-    """Sum per-record counts, then derive the micro metrics once."""
-    return micro_report(sum_counts(per_doc))
-
-
 def evaluate_coding(
     predictions: Mapping[str, Sequence[IcdCode]],
     gold: Mapping[str, Sequence[IcdCode]],
@@ -56,13 +51,12 @@ def evaluate_coding(
     Every gold record participates; records without a prediction row are
     scored against an empty prediction.
     """
-    strict = []
-    relaxed = []
+    strict = relaxed = ConfusionCounts(0, 0, 0)
     for doc_id in gold:
         pred_codes = predictions.get(doc_id, ())
-        strict.append(aggregate_document(pred_codes, gold[doc_id]))
-        relaxed.append(aggregate_relaxed(pred_codes, gold[doc_id]))
-    return {"strict": corpus_micro(strict), "relaxed": corpus_micro(relaxed)}
+        strict += aggregate_document(pred_codes, gold[doc_id])
+        relaxed += aggregate_relaxed(pred_codes, gold[doc_id])
+    return {"strict": micro_report(strict), "relaxed": micro_report(relaxed)}
 
 
 def read_code_predictions(path: str | Path) -> dict[str, list[IcdCode]]:

@@ -10,6 +10,7 @@ Cyrillic text.
 from __future__ import annotations
 
 import io
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -101,13 +102,19 @@ def parse_brat(text: str, ann: str, doc_id: str = "", ann_path: str | Path = "an
 
 
 def read_corpus_dir(corpus_dir: str | Path) -> list[AnnotatedDocument]:
-    """Parse every ``.txt``/``.ann`` pair under a directory, sorted by name; an unpaired file is an error."""
+    """Parse every ``.txt``/``.ann`` pair under a directory, sorted by name; an
+    unpaired file, or one whose name is not UTF-8, is an error."""
     corpus_dir = Path(corpus_dir)
     # one directory listing finds unpaired files of both kinds, with no glob or stat per file
     names = {path.name for path in corpus_dir.iterdir()}
     docs = []
     for txt_name in sorted({name[:-4] + ".txt" for name in names if name.endswith((".txt", ".ann"))}):
         doc_id, ann_path = txt_name[:-4], corpus_dir / (txt_name[:-4] + ".ann")
+        try:  # a report could not hold the name as a doc_id
+            doc_id.encode()
+        except UnicodeEncodeError:
+            name = os.fsencode(txt_name if txt_name in names else ann_path.name)
+            raise InvalidFormatError(f"{corpus_dir}: file name {name!r} is not UTF-8") from None
         if txt_name not in names:
             raise InvalidFormatError(f"missing text file for {ann_path.name}")
         if ann_path.name not in names:

@@ -93,5 +93,6 @@ def read_span_predictions(path: str | Path) -> dict[str, list[Span]]:
     ``{"doc_id": ..., "spans": [{"start": ..., "end": ..., "text": ...}]}``.
     """
     return read_grouped(path, "doc_id", lambda row: [
-        Span(typed_field(s, "start", int), typed_field(s, "end", int), s.get("text", ""))
+        Span(typed_field(s, "start", int), typed_field(s, "end", int),
+             typed_field(s, "text", str) if "text" in s else "")
         for s in typed_field(row, "spans", list)])

@@ -98,14 +98,14 @@ def build_index(dictionary: IcdDictionary, vectors: Iterable[tuple[int, Sequence
     number of finite components: a missing, duplicate or unknown id, a
     second dimension or a NaN/inf component raises :class:`InvalidFormatError`.
     """
-    by_id: dict[int, Sequence[float]] = {}
+    rows: list[Sequence[float] | None] = [None] * len(dictionary)
     dim: int | None = None
     for entry_id, vector in vectors:
         if type(entry_id) is not int:
             raise InvalidFormatError(f"vector id must be int, got {entry_id!r}")
         if entry_id < 0 or entry_id >= len(dictionary):
             raise InvalidFormatError(f"vector id {entry_id} has no dictionary entry")
-        if entry_id in by_id:
+        if rows[entry_id] is not None:
             raise InvalidFormatError(f"duplicate vector for entry {entry_id}")
         if dim is None:
             dim = len(vector)
@@ -113,14 +113,14 @@ def build_index(dictionary: IcdDictionary, vectors: Iterable[tuple[int, Sequence
                 raise InvalidFormatError("vectors must have at least one component")
         elif len(vector) != dim:
             raise InvalidFormatError(f"entry {entry_id}: expected dim {dim}, got {len(vector)}")
-        by_id[entry_id] = vector
+        rows[entry_id] = vector
     for entry in dictionary:
-        if entry.entry_id not in by_id:
+        if rows[entry.entry_id] is None:
             raise InvalidFormatError(f"no vector for entry {entry.entry_id} ({entry.code})")
     if not len(dictionary):
         return EmbeddingIndex((), np.zeros((0, 1)))
     # EmbeddingIndex stacks the rows and rejects non-finite components
-    return EmbeddingIndex([e.code for e in dictionary], [by_id[i] for i in range(len(dictionary))])
+    return EmbeddingIndex([e.code for e in dictionary], rows)
 
 
 def retrieve(
@@ -232,6 +232,7 @@ def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
     either half, a lost worker or a stream it cut short, no pipe or process
     to be had) the whole file is read again in this process, so the pairs,
     their float bits and the error raised are those of a one-process read.
+    While SIGCHLD is ignored, every file is read in one process.
     """
     mid = _split_point(path)
     if mid is None:
@@ -267,9 +268,12 @@ def _embedding_row(line: str) -> tuple[int, np.ndarray]:
 
 def _split_point(path: str | Path) -> int | None:
     """The offset after the first LF at or after half the file's bytes, or
-    None to read the file in one process: not ``CAN_SPLIT``, the file is
-    smaller than ``SPLIT_BYTES``, or no byte follows such an LF."""
-    if not CAN_SPLIT:
+    None to read the file in one process: not ``CAN_SPLIT``, SIGCHLD is
+    ignored, the file is smaller than ``SPLIT_BYTES``, or no byte follows
+    such an LF."""
+    # an ignored SIGCHLD (inherited across exec) has the kernel reap the
+    # worker itself, so its pid could be neither waited for nor killed
+    if not CAN_SPLIT or signal.getsignal(signal.SIGCHLD) is signal.SIG_IGN:
         return None
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size

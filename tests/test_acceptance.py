@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icdkit.coding import aggregate_document, aggregate_relaxed, corpus_micro
+from icdkit.coding import aggregate_document, aggregate_relaxed
 from icdkit.codes import IcdCode, parse_code, truncate_to_group
 from icdkit.corpus import corpus_stats, iaa_ratio, pairwise_jaccard, read_corpus_dir
 from icdkit.diagnosis import (
@@ -96,7 +96,7 @@ def test_criterion_02_aggregation_matches_set_oracle():
         assert counts.tp + counts.fp == len(pred_set)
         assert counts.tp + counts.fn == len(gold_set)
         per_doc.append(counts)
-    report = corpus_micro(per_doc)
+    report = micro_report(sum_counts(per_doc))
     tp = sum(c.tp for c in per_doc)
     fp = sum(c.fp for c in per_doc)
     fn = sum(c.fn for c in per_doc)
@@ -203,8 +203,8 @@ def test_criterion_04a_relaxed_f1_dominates_strict_f1():
             assert not has_sibling_collision(pred) and not has_sibling_collision(gold)
             strict_counts.append(aggregate_document(pred, gold))
             relaxed_counts.append(aggregate_relaxed(pred, gold))
-        strict_f1 = corpus_micro(strict_counts).f1
-        relaxed_f1 = corpus_micro(relaxed_counts).f1
+        strict_f1 = micro_report(sum_counts(strict_counts)).f1
+        relaxed_f1 = micro_report(sum_counts(relaxed_counts)).f1
         assert relaxed_f1 >= strict_f1 - 1e-12, \
             f"collision-free corpus {corpus_idx}: strict {strict_f1:.4f}, relaxed {relaxed_f1:.4f}"
         strictly_better += relaxed_f1 > strict_f1 + 1e-12
@@ -212,8 +212,8 @@ def test_criterion_04a_relaxed_f1_dominates_strict_f1():
 
     counterexample_pred = [parse_code(c) for c in ("H10.0", "H10.1", "X00")]
     counterexample_gold = [parse_code(c) for c in ("H10.0", "H10.1", "Y00")]
-    strict = corpus_micro([aggregate_document(counterexample_pred, counterexample_gold)])
-    relaxed = corpus_micro([aggregate_relaxed(counterexample_pred, counterexample_gold)])
+    strict = micro_report(sum_counts([aggregate_document(counterexample_pred, counterexample_gold)]))
+    relaxed = micro_report(sum_counts([aggregate_relaxed(counterexample_pred, counterexample_gold)]))
     assert (strict.tp, strict.fp, strict.fn) == (2, 1, 1)
     assert (relaxed.tp, relaxed.fp, relaxed.fn) == (1, 1, 1)
     assert math.isclose(strict.f1, 2 / 3, rel_tol=0, abs_tol=1e-12)
@@ -495,8 +495,8 @@ def test_criterion_09_model_level_scores_out_of_scope():
     rnd = random.Random(909)
     docs = [(make_codes(rnd, rnd.randint(0, 6)), make_codes(rnd, rnd.randint(0, 6)))
             for _ in range(50)]
-    first = corpus_micro(aggregate_document(p, g) for p, g in docs)
-    second = corpus_micro(aggregate_document(p, g) for p, g in docs)
+    first = micro_report(sum_counts(aggregate_document(p, g) for p, g in docs))
+    second = micro_report(sum_counts(aggregate_document(p, g) for p, g in docs))
     assert first == second
     print("criterion 9 PASS (documented): model-level scores are covered by "
           "the metric-definition properties; evaluation is deterministic")

@@ -64,6 +64,25 @@ class TestStats:
         assert "missing annotation file for d2.txt" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["parse", "stats", "eval-ner"])
+    def test_name_not_utf8_exits_3_naming_it(self, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        try:
+            for suffix, data in ((b".txt", "анемия"), (b".ann", "T1\tDisease 0 6\tанемия\n")):
+                with open(os.fsencode(corpus) + b"/ok\xff" + suffix, "wb") as handle:
+                    handle.write(data.encode("utf-8"))
+        except OSError:
+            pytest.skip("this filesystem refuses a file name that is not UTF-8")
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"corpus_dir": corpus, "predictions": predictions, "output_dir": out})
+        assert run_cli(command, cfg) == 3
+        assert f"error: {corpus.resolve()}: file name b'ok\\xff.txt' is not UTF-8\n" == capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, corpus_dir):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_config(tmp_path / "c1.json", {"corpus_dir": corpus_dir, "output_dir": out1})
@@ -629,6 +648,8 @@ class TestMalformedRows:
                                         '{"record_id": "r1", "annotators": [["J00"], ["J01"]]}'),
         ("agreement", "annotator_sets", '{"annotators": [["J00"], ["J00"]]}'),
         ("agreement", "annotator_sets", '{"record_id": 5, "annotators": [["J00"], ["J00"]]}'),
+        ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": [{"start": 0, "end": 5, "text": 5}]}'),
+        ("eval-ner", "predictions", '{"doc_id": "rec001", "spans": [{"start": 0, "end": 5, "text": null}]}'),
     ], ids=["vector-string", "vector-scalar", "vector-nested", "vector-null", "vector-nan", "id-overflow",
             "component-overflow", "query-vector-string", "query-vector-inf", "gold-int",
             "gold-malformed", "records-int-gold", "span-start-overflow", "rank-overflow",
@@ -647,7 +668,7 @@ class TestMalformedRows:
             "annotator-object-codes", "predictions-object-spans", "candidates-object-candidates",
             "query-object-mention", "counts-no-tab", "counts-underscore", "counts-non-ascii-digit",
             "counts-plus-sign", "span-reversed", "annotator-repeated-record-id",
-            "annotator-missing-record-id", "annotator-int-record-id"])
+            "annotator-missing-record-id", "annotator-int-record-id", "span-int-text", "span-null-text"])
     def test_bad_values_exit_3_naming_file_line(self, tmp_path, capsys, corpus_dir,
                                                 command, bad_key, line):
         retrieval = {

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from icdkit.coding import aggregate_document, aggregate_relaxed, corpus_micro
+from icdkit.coding import aggregate_document, aggregate_relaxed
 from icdkit.codes import load_dictionary, parse_code
 from icdkit.corpus import parse_brat
 from icdkit.errors import InvalidFormatError
@@ -98,8 +98,8 @@ def test_retrieve_export_select_aggregate_round_trip():
     # EHR-level aggregation of the selected codes against the parsed gold:
     # the sibling-subcode mix-up costs strict F1 but not relaxed F1
     assert str(resolved["m2"]) == "H10.0"
-    strict = corpus_micro([aggregate_document(predicted_codes, gold_codes)])
-    relaxed = corpus_micro([aggregate_relaxed(predicted_codes, gold_codes)])
+    strict = micro_report(sum_counts([aggregate_document(predicted_codes, gold_codes)]))
+    relaxed = micro_report(sum_counts([aggregate_relaxed(predicted_codes, gold_codes)]))
     assert (strict.tp, strict.fp, strict.fn) == (1, 1, 1)
     assert strict.f1 == 0.5
     assert relaxed.f1 == 1.0

@@ -474,14 +474,15 @@ def splits(data):
 def loaded(path, floor):
     """The ids and ``float.hex`` components :func:`load_embeddings_jsonl`
     returns with the split floor at ``floor``, or the class and message of
-    the error it raises. It forks only where the file splits, and leaves
-    no child process behind."""
+    the error it raises. It forks only where the file splits and SIGCHLD
+    is not ignored, and leaves no child process behind."""
     with split_floor(floor) as (forks, _):
         try:
             result = [(i, [x.hex() for x in vector.tolist()]) for i, vector in load_embeddings_jsonl(path)]
         except InvalidFormatError as exc:
             result = type(exc), str(exc)
-    assert len(forks) == (path.stat().st_size >= floor and splits(path.read_bytes()))
+    assert len(forks) == (path.stat().st_size >= floor and splits(path.read_bytes())
+                          and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return result
@@ -556,6 +557,19 @@ class TestSplitLoad:
         kind, message = loaded(path, 0)
         assert (kind, message) == loaded(path, IN_PROCESS)
         assert message.startswith(f"{path}:31: not UTF-8: invalid continuation byte")
+
+    @pytest.mark.parametrize("last", ["", '{"id": 40, "vector": "x"}\n'], ids=["valid", "bad-second-half"])
+    def test_reads_in_one_process_while_sigchld_ignored(self, tmp_path, last):
+        # an ignored SIGCHLD, inherited across exec, has the kernel reap a
+        # worker, whose pid could then be neither waited for nor killed
+        path = tmp_path / "v.jsonl"
+        path.write_text(self.rows(40) + last, encoding="utf-8")
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            ignored = loaded(path, 0)  # asserts that no worker was forked
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert ignored == loaded(path, IN_PROCESS)
 
     def test_worker_leaves_through_os_exit(self, tmp_path, monkeypatch):
         # os._exit runs no atexit handler and flushes none of the parent's buffers
