@@ -23,13 +23,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from icdkit import __version__
 from icdkit.coding import evaluate_coding, read_code_predictions
-from icdkit.codes import (
-    IcdDictionary,
-    load_dictionary_tsv,
-    merge_synonyms,
-    parse_code,
-    read_dictionary_tsv,
-)
+from icdkit.codes import IcdDictionary, load_dictionary, parse_code, read_dictionary_tsv
 from icdkit.corpus import check_annotators, corpus_stats, iaa_ratio, pairwise_jaccard, read_corpus_dir
 from icdkit.diagnosis import (
     build_label_space,
@@ -61,11 +55,10 @@ class Options:
     quorum: int = 2
     fraction: float = 0.10
     min_count: int = 15
-    per_record_mean: bool = False
 
 
 # exact JSON value types per annotation, so true is not an int option
-_OPTION_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_OPTION_TYPES = {"int": (int,), "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -153,10 +146,14 @@ class RunConfig:
 
 def _load_index(config: RunConfig) -> tuple[IcdDictionary, EmbeddingIndex]:
     from icdkit.retrieval import build_index, load_embeddings_jsonl
-    dictionary = load_dictionary_tsv(config.path("dictionary"))
+    dictionary_path = config.path("dictionary")
+    rows = read_dictionary_tsv(dictionary_path)
     synonyms_path = config.path("synonyms", required=False)
     if synonyms_path is not None:
-        dictionary = merge_synonyms(dictionary, read_dictionary_tsv(synonyms_path))
+        rows += read_dictionary_tsv(synonyms_path)
+    dictionary = load_dictionary(rows)  # one build: dropped_duplicates counts both files
+    if not len(dictionary):
+        raise InvalidFormatError(f"{dictionary_path}: the dictionary has no entries")
     embeddings_path = config.path("embeddings")
     vectors = load_embeddings_jsonl(embeddings_path)
     try:
@@ -233,13 +230,11 @@ def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
         records.append(sets)
 
     read_unique(config.path("annotator_sets"), add_row, "record_id")
-    ratio = iaa_ratio(records, quorum=config.options.quorum,
-                      per_record_mean=config.options.per_record_mean)
+    ratio = iaa_ratio(records, quorum=config.options.quorum)
     jaccard = pairwise_jaccard(records)
     results = {
         "n_records": len(records),
         "quorum": config.options.quorum,
-        "per_record_mean": config.options.per_record_mean,
         "iaa_ratio": ratio,
         "pairwise_jaccard": {f"{a + 1}-{b + 1}": value for (a, b), value in jaccard.items()},
     }

@@ -161,22 +161,19 @@ def check_annotators(record: Sequence[frozenset | set], expected: int) -> None:
 def iaa_ratio(
     records: Sequence[Sequence[set]],
     quorum: int = 2,
-    per_record_mean: bool = False,
 ) -> float:
     """Agreement as accepted codes over all unique codes assigned.
 
     A code is accepted when at least ``quorum`` annotators assigned it to
-    the record. The default pools counts globally: sum of accepted over
-    all records divided by the sum of unique codes, 0 when nothing was
-    assigned. ``per_record_mean`` switches to averaging the per-record
-    ratio instead (records with no codes at all are skipped there). Every
-    record passes :func:`check_annotators` with the first record's count.
+    the record. Counts are pooled globally: sum of accepted over all
+    records divided by the sum of unique codes, 0 when nothing was
+    assigned. Every record passes :func:`check_annotators` with the first
+    record's count.
     """
     if quorum < 2:
         raise ValueError(f"quorum must be >= 2, got {quorum}")
     accepted_total = 0
     unique_total = 0
-    per_record: list[float] = []
     for record in records:
         check_annotators(record, len(records[0]))
         counts: Counter = Counter()
@@ -186,10 +183,6 @@ def iaa_ratio(
         accepted = sum(1 for n in counts.values() if n >= quorum)
         accepted_total += accepted
         unique_total += unique
-        if unique:
-            per_record.append(accepted / unique)
-    if per_record_mean:
-        return sum(per_record) / len(per_record) if per_record else 0.0
     return accepted_total / unique_total if unique_total else 0.0
 
 

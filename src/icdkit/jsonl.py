@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import re
-import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
@@ -71,7 +70,7 @@ def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool =
                 raise _not_utf8(path, start, stop) from exc
 
 
-def _occurrences(data: str, item: str, limit: int = sys.maxsize) -> int:
+def _occurrences(data: str, item: str, limit: int) -> int:
     """How many times ``item`` occurs in ``data``, counted up to ``limit``."""
     # find is memchr: over a few long lines, such as 9 KB embedding rows,
     # it costs a fifth to a third of count

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,18 @@ def write_embeddings_jsonl(path: Path, rows) -> None:
         for entry_id, vector in rows:
             comps = ", ".join(format(float(x), ".9g") for x in vector)
             handle.write('{"id": %d, "vector": [%s]}\n' % (int(entry_id), comps))
+
+
+def brute_force(vectors, query, k):
+    """Independent retrieval oracle: python-loop distances, sort by (d2, entry_id)."""
+    scored = []
+    for entry_id, vector in enumerate(vectors):
+        d2 = 0.0
+        for a, b in zip(vector, query):
+            d2 += (a - b) * (a - b)
+        scored.append((d2, entry_id))
+    scored.sort()
+    return [(entry_id, math.sqrt(d2)) for d2, entry_id in scored[:k]]
 
 
 @pytest.fixture(scope="session")

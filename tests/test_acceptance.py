@@ -32,6 +32,8 @@ from icdkit.metrics import ConfusionCounts, micro_report, sum_counts
 from icdkit.ner import fuzzy_verify
 from icdkit.retrieval import EmbeddingIndex, Hit, RankedCandidates, acc_at_k, retrieve
 
+from conftest import brute_force
+
 CODE_POOL = [f"{ch}{g:02d}{sub}" for ch in "AHJ" for g in (0, 10, 25)
              for sub in ("", ".0", ".1", ".9")]
 
@@ -43,17 +45,6 @@ def make_codes(rnd, n):
 # --------------------------------------------------------------------------
 # 1. Retrieval equals a brute-force Euclidean scan
 # --------------------------------------------------------------------------
-
-def brute_force_scan(vectors, query, k):
-    scored = []
-    for entry_id, vector in enumerate(vectors):
-        d2 = 0.0
-        for a, b in zip(vector, query):
-            d2 += (a - b) * (a - b)
-        scored.append((d2, entry_id))
-    scored.sort()
-    return [(entry_id, math.sqrt(d2)) for d2, entry_id in scored[:k]]
-
 
 def test_criterion_01_retrieval_matches_brute_force_oracle():
     rnd = random.Random(101)
@@ -72,7 +63,7 @@ def test_criterion_01_retrieval_matches_brute_force_oracle():
         codes = [parse_code(CODE_POOL[i % len(CODE_POOL)]) for i in range(n)]
         index = EmbeddingIndex(codes, np.array(vectors, dtype=np.float64))
         got = [(hit.entry_id, hit.distance) for hit in retrieve(index, query, k).hits]
-        assert got == brute_force_scan(vectors, query, k), f"instance {instance}"
+        assert got == brute_force(vectors, query, k), f"instance {instance}"
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
     print(f"criterion 1 PASS: 200 instances equal the brute-force scan in {elapsed:.2f}s")

@@ -353,6 +353,34 @@ class TestRetrievalCommands:
                                            "vectors must have at least one component\n")
         assert not (tmp_path / "out").exists()
 
+    def test_dropped_duplicates_counts_both_files(self, tmp_path):
+        # one duplicate within the dictionary, one synonym already in it
+        paths = {"dictionary": tmp_path / "dictionary.tsv", "synonyms": tmp_path / "synonyms.tsv",
+                 "embeddings": tmp_path / "embeddings.jsonl", "output_dir": tmp_path / "out"}
+        paths["dictionary"].write_text("J00\tcold\nH10\tconjunctivitis\nH10\tConjunctivitis\n",
+                                       encoding="utf-8")
+        paths["synonyms"].write_text("J00\tcold\nJ00\tcommon cold\n", encoding="utf-8")
+        paths["embeddings"].write_text('{"id": 0, "vector": [0.0]}\n{"id": 1, "vector": [1.0]}\n'
+                                       '{"id": 2, "vector": [2.0]}\n', encoding="utf-8")
+        assert run_cli("index", write_config(tmp_path / "cfg.json", paths)) == 0
+        assert load_report(paths["output_dir"], "index")["results"] == {
+            "n_entries": 3, "dim": 1, "n_codes": 2, "dropped_duplicates": 2}
+
+    @pytest.mark.parametrize("command", ["index", "retrieve", "export-candidates"])
+    def test_empty_dictionary_exits_3_naming_it(self, tmp_path, capsys, command):
+        # with no entries there is no index dimension for a query to match
+        paths = {"dictionary": tmp_path / "dictionary.tsv", "synonyms": tmp_path / "synonyms.tsv",
+                 "embeddings": tmp_path / "embeddings.jsonl", "queries": tmp_path / "queries.jsonl",
+                 "output_dir": tmp_path / "out"}
+        paths["dictionary"].write_text("# no rows\n", encoding="utf-8")
+        paths["synonyms"].write_text("\n", encoding="utf-8")
+        paths["embeddings"].write_text("", encoding="utf-8")
+        paths["queries"].write_text('{"mention_id": "q1", "vector": [0.0, 1.0]}\n', encoding="utf-8")
+        assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 3
+        assert capsys.readouterr().err == (f"error: {paths['dictionary'].resolve()}: "
+                                           "the dictionary has no entries\n")
+        assert not (tmp_path / "out").exists()
+
     def test_baseline_over_no_candidates_names_file_and_line(self, tmp_path, capsys):
         candidates = tmp_path / "candidates.jsonl"
         candidates.write_text('{"mention_id": "m1", "candidates": [{"rank": 1, "code": "J00"}]}\n'
@@ -850,7 +878,7 @@ class TestConfigHandling:
         }, options={"fraction": 0.9})
         assert run_cli("stats", cfg) == 2
         # wrongly typed values are config errors too, not tracebacks or silent casts
-        for name, value in (("k", "15"), ("quorum", 2.5), ("per_record_mean", "yes"), ("k", 0),
+        for name, value in (("k", "15"), ("quorum", 2.5), ("min_count", True), ("k", 0),
                             ("min_count", -1)):
             cfg = write_config(tmp_path / f"cfg_{name}.json", {
                 "corpus_dir": corpus_dir, "output_dir": tmp_path / "o",

@@ -242,13 +242,13 @@ class TestIaaRatio:
         ]
         assert iaa_ratio(records, quorum=2) == pytest.approx(3 / 8)
 
-    def test_per_record_mean_variant(self):
+    def test_pools_counts_rather_than_averaging_records(self):
         records = [
             [{"A"}, {"A"}],   # 1/1
             [{"A"}, {"B"}],   # 0/2
         ]
+        # a mean of the per-record ratios would be 0.5
         assert iaa_ratio(records) == pytest.approx(1 / 3)
-        assert iaa_ratio(records, per_record_mean=True) == pytest.approx(0.5)
 
     def test_quorum_too_low(self):
         with pytest.raises(ValueError, match="^quorum must be >= 2, got 1$") as caught:

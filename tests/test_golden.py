@@ -12,9 +12,10 @@ import hashlib
 import importlib.util
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from icdkit.cli import main
+from icdkit.cli import Options, main
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_data.py"
 
@@ -24,7 +25,7 @@ COMMANDS = ("parse", "stats", "agreement", "index", "retrieve", "eval-ner", "eva
 
 GOLDEN = {
     "agreement/agreement.json":
-        "f03e9e15783c361358579d9ae5b86c2cde56a6a6afcdf8f2d2561ae1f04ac4ac",
+        "6171a54ea8fdc0c60d292844d5999b60b42263ef12f9ed83edeeab1241c0fe34",
     "eval-coding/eval_coding.json":
         "dc725b7c6409de39e5708ecff8c67ff1b47acc2638376ef45f5a5c7b9ad7610f",
     "eval-dp/eval_dp.json":
@@ -65,11 +66,16 @@ def _digest(path: Path, command: str) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def demo_digests(out: Path, monkeypatch) -> dict[str, str]:
-    """Generate the demo workspace in ``out``, run every subcommand over it and hash what each wrote."""
+def _demo_script():
     spec = importlib.util.spec_from_file_location("make_demo_data", SCRIPT)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
+    return demo
+
+
+def demo_digests(out: Path, monkeypatch) -> dict[str, str]:
+    """Generate the demo workspace in ``out``, run every subcommand over it and hash what each wrote."""
+    demo = _demo_script()
     monkeypatch.setattr(sys, "argv", ["make_demo_data.py", "--out", str(out)])
     demo.main()
 
@@ -84,3 +90,12 @@ def demo_digests(out: Path, monkeypatch) -> dict[str, str]:
 
 def test_demo_reports_and_artifacts_are_byte_stable(tmp_path, monkeypatch):
     assert demo_digests(tmp_path, monkeypatch) == GOLDEN
+
+
+def test_demo_configs_set_every_option(tmp_path):
+    # an option no demo config sets is outside the digests above
+    _demo_script().write_configs(tmp_path)
+    configs = [json.loads(path.read_text(encoding="utf-8")) for path in tmp_path.glob("*.json")]
+    assert len(configs) == len(COMMANDS)
+    assert {key for config in configs for key in config.get("options", {})} == {
+        field.name for field in fields(Options)}

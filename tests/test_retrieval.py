@@ -30,7 +30,7 @@ from icdkit.retrieval import (
     load_embeddings_jsonl,
     retrieve,
 )
-from conftest import write_embeddings_jsonl
+from conftest import brute_force, write_embeddings_jsonl
 from test_golden import GOLDEN, demo_digests
 
 
@@ -42,18 +42,6 @@ def shared_dir(tmp_path_factory):
 def tiny_dictionary(n=3):
     rows = [("H10.0", "a"), ("H10.1", "b"), ("J00", "c"), ("E11.9", "d"), ("I25.2", "e")]
     return load_dictionary(rows[:n])
-
-
-def brute_force(vectors, query, k):
-    """Independent oracle: python-loop distances, sort by (d2, entry_id)."""
-    scored = []
-    for entry_id, vector in enumerate(vectors):
-        d2 = 0.0
-        for a, b in zip(vector, query):
-            d2 += (a - b) * (a - b)
-        scored.append((d2, entry_id))
-    scored.sort()
-    return [(entry_id, math.sqrt(d2)) for d2, entry_id in scored[:k]]
 
 
 def scan_oracle(index, query, k):
