@@ -3,7 +3,9 @@
 Span matching uses exact boundaries with greedy one-to-one pairing; no
 partial credit is given. Free-text predictions (as produced by generative
 extractors) are verified against the source with a bounded-edit-distance
-substring search instead.
+substring search instead: a partition filter picks the windows of the
+source that can hold a match, and Myers' bit-vector scan checks the merged
+windows.
 """
 
 from __future__ import annotations
@@ -78,14 +80,52 @@ def fuzzy_verify(entity: str, source: str, max_dist: int = 2) -> bool:
     up to ``max_dist`` character edits.
 
     Both sides are normalized (NFC, lowercased, whitespace collapsed)
-    before the substring scan, so trivial casing or spacing differences
-    never count as edits. Because edit distance bounds the length
-    difference, any accepted substring automatically has length within
-    ``len(entity) +- max_dist``.
+    before the search, so trivial casing or spacing differences never
+    count as edits. Because edit distance bounds the length difference,
+    any accepted substring automatically has length within
+    ``len(entity) +- max_dist``. A partition filter finds the windows of
+    the source where a match can be, and Myers' scan runs on the merged
+    windows only, so it never reads more than the whole source. The
+    verdict is always ``min_substring_distance(entity, source) <=
+    max_dist`` on the normalized strings.
     """
-    if max_dist < 0:
-        raise ValueError(f"max_dist must be >= 0, got {max_dist}")
-    return min_substring_distance(normalize_name(entity), normalize_name(source)) <= max_dist
+    if type(max_dist) is not int or max_dist < 0:
+        raise ValueError(f"max_dist must be an int >= 0, got {max_dist!r}")
+    e, t, k = normalize_name(entity), normalize_name(source), max_dist
+    m = len(e)
+    # the empty substring is within m edits of e
+    if m <= k or e in t:
+        return True
+    # Wu and Manber's partition filter (agrep, CACM 35(10), 1992). Cut e
+    # into k + 1 pieces e[a:b] at a = m*j // (k+1); as m > k, none is
+    # empty. An alignment of e with a substring t[s:s'] that costs at
+    # most k edits leaves at least one piece with no edit, matched
+    # exactly at some t[i:i + b - a], which str.find reports. The
+    # prefix e[:a] then aligns with t[s:i] and the suffix e[b:] with
+    # t[i + b - a:s'], at most k edits in all, and each edit changes a
+    # length by at most one, so s >= i - a - k and s' <= i - a + m + k.
+    # The match thus lies inside the window [i - a - k, i - a + m + k),
+    # clamped at 0 (a negative start would slice from the end of t).
+    # Conversely any window is a slice of t, so a substring of a window
+    # is a substring of t: a window never accepts what the full scan
+    # would reject. Merging overlapping or touching windows keeps both
+    # facts, since a union of windows is still a slice of t holding each
+    # of them, and it makes the scanned slices disjoint, so Myers reads
+    # at most len(t) characters whatever the number of hits.
+    windows = []
+    for j in range(k + 1):
+        a, b = m * j // (k + 1), m * (j + 1) // (k + 1)
+        i = t.find(e[a:b])
+        while i >= 0:
+            windows.append((max(0, i - a - k), i - a + m + k))
+            i = t.find(e[a:b], i + 1)
+    merged: list[list[int]] = []
+    for start, end in sorted(windows):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return any(min_substring_distance(e, t[lo:hi]) <= k for lo, hi in merged)
 
 
 def read_span_predictions(path: str | Path) -> dict[str, list[Span]]:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icdkit import ner
+from icdkit.codes import normalize_name
 from icdkit.metrics import ConfusionCounts, micro_report
 from icdkit.ner import fuzzy_verify, match_spans, min_substring_distance, read_span_predictions
 
@@ -53,6 +55,11 @@ def best_substring_distance(entity: str, source: str) -> int:
         for j in range(i, len(source) + 1):
             best = min(best, levenshtein(entity, source[i:j]))
     return best
+
+
+def full_scan(entity: str, source: str, max_dist: int) -> bool:
+    """Oracle for ``fuzzy_verify``: Myers' scan over the whole normalized source."""
+    return min_substring_distance(normalize_name(entity), normalize_name(source)) <= max_dist
 
 
 class TestMatchSpans:
@@ -161,6 +168,56 @@ class TestFuzzyVerify:
     @given(st.text("абв", min_size=1, max_size=6), st.text("абв", max_size=12))
     def test_agrees_with_substring_oracle(self, entity, source):
         assert min_substring_distance(entity, source) == best_substring_distance(entity, source)
+
+
+class TestPartitionFilter:
+    """``fuzzy_verify``'s partition filter against the full scan it replaces."""
+
+    @settings(max_examples=600, derandomize=True)
+    @given(st.sampled_from(["ab A", "abc C"]), st.integers(0, 4), st.data())
+    def test_agrees_with_full_scan(self, alphabet, max_dist, data):
+        entity = data.draw(st.text(alphabet, max_size=12))
+        source = data.draw(st.text(alphabet, max_size=40))
+        assert fuzzy_verify(entity, source, max_dist) == full_scan(entity, source, max_dist)
+
+    @pytest.mark.parametrize("entity, source, max_dist, expected", [
+        ("ab", "xyz", 2, True),            # m <= k: the empty substring is close enough
+        ("abc", "", 3, True),
+        ("abc", "xbz", 2, True),           # m == k + 1: pieces of one character
+        ("abc", "xyz", 2, False),
+        ("abc", "zzzbzz", 2, True),
+        ("abcdefgh", "abcXefghzzzz", 1, True),   # match at offset 0: the window starts at -1
+        ("abcdefgh", "zzzzabcdeXfgh", 1, True),  # match ending at len(t): the window's right edge
+        ("abcdefgh", "zzabcXdefgh", 1, True),    # only the last piece is unedited
+        ("abcdefgh", "zzabcXYdefgh", 1, False),
+        ("abcd", "abd", 1, True),          # source shorter than the entity
+        ("abcdef", "abd", 2, False),
+        ("abc", "", 2, False),             # empty source
+        ("AB  cd", "xx ab cd", 0, True),   # normalized before the filter
+    ])
+    def test_edge_cases(self, entity, source, max_dist, expected):
+        assert full_scan(entity, source, max_dist) == expected
+        assert fuzzy_verify(entity, source, max_dist) == expected
+
+    @pytest.mark.parametrize("entity, max_dist", [
+        ("aaxyz", 2), ("xyzaa", 2), ("axyza", 2), ("aaaaxyzw", 2), ("aaaxyzvw", 4)])
+    def test_myers_reads_at_most_the_source(self, monkeypatch, entity, max_dist):
+        # one piece hits every offset of the source, and no window holds a match
+        source = "a" * 20_000
+        scanned = []
+
+        def counting(needle, haystack):
+            scanned.append(len(haystack))
+            return min_substring_distance(needle, haystack)
+
+        monkeypatch.setattr(ner, "min_substring_distance", counting)
+        assert not fuzzy_verify(entity, source, max_dist)
+        assert 0 < sum(scanned) <= len(normalize_name(source))
+
+    @pytest.mark.parametrize("max_dist", [1.5, 2.0, True, False, "2", None])
+    def test_max_dist_must_be_an_int(self, max_dist):
+        with pytest.raises(ValueError, match="max_dist"):
+            fuzzy_verify("a", "a", max_dist=max_dist)
 
 
 # a combining acute accent, two non-BMP characters and a space
