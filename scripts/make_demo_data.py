@@ -3,9 +3,10 @@
 
 Writes a small BRAT corpus, an ICD dictionary with synonyms, entry
 embeddings, retrieval queries, imperfect span/code predictions, a
-diagnosis-prediction record set, annotator code sets, and one config file
-per subcommand. Everything is deterministic for a given seed, so reports
-produced from the workspace are byte-stable.
+reranker's selection file, a diagnosis-prediction record set, annotator
+code sets, one config file per subcommand, and a second import-selection
+config that resolves the selection file. Everything is deterministic for
+a given seed, so reports produced from the workspace are byte-stable.
 
 Usage: python scripts/make_demo_data.py [--out DIR] [--seed N]
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from icdkit.codes import load_dictionary_tsv, merge_synonyms, read_dictionary_tsv
+from icdkit.codes import load_dictionary, read_dictionary_tsv
 
 DICTIONARY = """\
 # demo ICD-10 dictionary: CODE<TAB>NAME
@@ -81,14 +82,14 @@ def write_corpus(corpus_dir: Path) -> None:
 
 
 def write_embeddings_and_queries(root: Path, rng: np.random.Generator) -> None:
-    base = load_dictionary_tsv(root / "dictionary.tsv")
-    dictionary = merge_synonyms(base, read_dictionary_tsv(root / "synonyms.tsv"))
+    dictionary = load_dictionary(read_dictionary_tsv(root / "dictionary.tsv")
+                                 + read_dictionary_tsv(root / "synonyms.tsv"))
     dim = 12
     anchors: dict[str, np.ndarray] = {}
     rows = []
-    for entry in dictionary:
+    for entry_id, entry in enumerate(dictionary):
         anchor = anchors.setdefault(str(entry.code), np.round(rng.normal(0, 4.0, dim), 1))
-        rows.append((entry.entry_id, (anchor + np.round(rng.normal(0, 0.05, dim), 3)).tolist()))
+        rows.append((entry_id, (anchor + np.round(rng.normal(0, 0.05, dim), 3)).tolist()))
     with open(root / "embeddings.jsonl", "w", encoding="utf-8") as handle:
         for entry_id, vector in rows:
             # 9 significant digits give back every float32 bit for bit
@@ -132,6 +133,15 @@ def write_predictions(root: Path) -> None:
         for doc_id, _, entities in CORPUS:
             handle.write(json.dumps({"doc_id": doc_id,
                                      "codes": [code for _, code in entities]}) + "\n")
+
+
+def write_selection(root: Path) -> None:
+    # a reranker's picks by 1-based candidate rank, out of query order; it
+    # abstains on mention-07, so import-selection resolves the other four
+    picks = {"mention-12": 2, "mention-00": 1, "mention-10": 15, "mention-03": 3}
+    with open(root / "selection.jsonl", "w", encoding="utf-8") as handle:
+        for mention_id, rank in picks.items():
+            handle.write(json.dumps({"mention_id": mention_id, "selected_rank": rank}) + "\n")
 
 
 def write_dp_inputs(root: Path, rnd: random.Random) -> None:
@@ -188,6 +198,8 @@ def write_configs(root: Path) -> None:
            {"fraction": 0.2, "min_count": 3})
     config("export-candidates", dict(retrieval_paths, queries="queries.jsonl"), {"k": 15})
     config("import-selection", {"candidates": "out/export-candidates/candidates.jsonl"})
+    config("import-selection-reranked", {"candidates": "out/export-candidates/candidates.jsonl",
+                                         "selection": "selection.jsonl"})
 
 
 def main() -> None:
@@ -203,6 +215,7 @@ def main() -> None:
     write_corpus(root / "corpus")
     write_embeddings_and_queries(root, np.random.default_rng(args.seed))
     write_predictions(root)
+    write_selection(root)
     rnd = random.Random(args.seed)
     write_dp_inputs(root, rnd)
     write_annotator_sets(root, rnd)

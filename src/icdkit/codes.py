@@ -14,7 +14,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_lines
@@ -82,34 +82,36 @@ def truncate_to_group(code: IcdCode) -> IcdCode:
 
 
 def normalize_name(name: str) -> str:
-    """Canonical form of a disease name: NFC, lowercase, collapsed spaces."""
-    return _WS_RE.sub(" ", unicodedata.normalize("NFC", name).lower()).strip()
+    """Canonical form of a disease name: lowercase, then NFC, then collapsed
+    spaces. NFC is not closed under case mapping: ``T`` + U+0308 has no
+    composed form, but its lowercase ``t`` + U+0308 composes to ``ẗ``. So
+    NFC comes after lowercasing, and a normalized name normalizes to itself.
+    """
+    return _WS_RE.sub(" ", unicodedata.normalize("NFC", name.lower())).strip()
 
 
-@dataclass(frozen=True)
-class DictEntry:
-    entry_id: int
+class DictEntry(NamedTuple):
     code: IcdCode
     name: str
 
 
+@dataclass(frozen=True)
 class IcdDictionary:
-    """Ordered (entry_id, code, name) triples backing entity linking.
+    """Ordered (code, name) entries backing entity linking, built by
+    :func:`load_dictionary`.
 
-    Entry ids are dense ``0..N-1`` in insertion order and never change
-    once assigned; no two entries share a (code, normalized name) pair.
-    Instances are immutable after construction and safe to share across
-    worker threads.
+    An entry's id is its position ``0..N-1`` in insertion order; no two
+    entries share a (code, normalized name) pair. Instances are immutable
+    and safe to share across worker threads.
     """
 
-    def __init__(self, entries: Sequence[DictEntry], dropped_duplicates: int = 0):
-        self.entries: tuple[DictEntry, ...] = tuple(entries)
-        self.dropped_duplicates = dropped_duplicates
-        for position, entry in enumerate(self.entries):
-            if entry.entry_id != position:
-                raise ValueError(f"entry ids must be dense 0..N-1, got {entry.entry_id} at {position}")
-        # unique codes in first-occurrence order
-        self.codes: tuple[IcdCode, ...] = tuple(dict.fromkeys(e.code for e in self.entries))
+    entries: tuple[DictEntry, ...]
+    dropped_duplicates: int
+
+    @property
+    def codes(self) -> tuple[IcdCode, ...]:
+        """Unique codes in first-occurrence order."""
+        return tuple(dict.fromkeys(e.code for e in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -121,27 +123,6 @@ class IcdDictionary:
         return self.entries[entry_id]
 
 
-def _extend(entries: list[DictEntry], rows: Iterable[tuple[str, str]]) -> IcdDictionary:
-    """Append the rows' new (code, name) pairs to ``entries`` and count only
-    the rows' duplicates, so a merge never re-counts the base's drops. The
-    public builders call this and never each other."""
-    seen = {(e.code, e.name) for e in entries}
-    dropped = 0
-    for rownum, (code_text, name_text) in enumerate(rows, start=1):
-        try:
-            code = parse_code(code_text)
-        except InvalidFormatError as exc:
-            raise InvalidFormatError(f"row {rownum}: {exc}") from exc
-        name = normalize_name(name_text)
-        key = (code, name)
-        if key in seen:
-            dropped += 1
-            continue
-        seen.add(key)
-        entries.append(DictEntry(len(entries), code, name))
-    return IcdDictionary(entries, dropped_duplicates=dropped)
-
-
 def load_dictionary(rows: Iterable[tuple[str, str]]) -> IcdDictionary:
     """Build a dictionary from (code text, name text) rows.
 
@@ -150,17 +131,28 @@ def load_dictionary(rows: Iterable[tuple[str, str]]) -> IcdDictionary:
     reported on the returned dictionary. A row whose code does not parse
     raises :class:`InvalidFormatError` naming the 1-based row number.
     """
-    return _extend([], rows)
+    entries: dict[DictEntry, None] = {}
+    rownum = 0
+    for rownum, (code_text, name_text) in enumerate(rows, start=1):
+        try:
+            code = parse_code(code_text)
+        except InvalidFormatError as exc:
+            raise InvalidFormatError(f"row {rownum}: {exc}") from exc
+        entries[DictEntry(code, normalize_name(name_text))] = None  # a repeat keeps the first place
+    return IcdDictionary(tuple(entries), rownum - len(entries))
 
 
 def merge_synonyms(base: IcdDictionary, extra: Iterable[tuple[str, str]]) -> IcdDictionary:
-    """Union a dictionary with extra synonym rows.
+    """Union a dictionary that :func:`load_dictionary` built with extra synonym rows.
 
     Base entries keep their ids; genuinely new (code, name) pairs are
     appended in the order given. Rows already present in the base (or
-    repeated within ``extra``) are dropped and counted.
+    repeated within ``extra``) are dropped and counted. The base's names
+    are fixed points of :func:`normalize_name` and its pairs are unique, so
+    none of its entries is dropped again; a bad extra row is named by its
+    row in ``base`` followed by ``extra``.
     """
-    return _extend(list(base.entries), extra)
+    return load_dictionary([*base, *extra])
 
 
 def read_dictionary_tsv(path: str | Path) -> list[tuple[str, str]]:

@@ -79,7 +79,7 @@ def fuzzy_verify(entity: str, source: str, max_dist: int = 2) -> bool:
     """Check that an extracted entity occurs in the source text, allowing
     up to ``max_dist`` character edits.
 
-    Both sides are normalized (NFC, lowercased, whitespace collapsed)
+    Both sides are normalized (lowercased, NFC, whitespace collapsed)
     before the search, so trivial casing or spacing differences never
     count as edits. Because edit distance bounds the length difference,
     any accepted substring automatically has length within

@@ -114,9 +114,9 @@ def build_index(dictionary: IcdDictionary, vectors: Iterable[tuple[int, Sequence
         elif len(vector) != dim:
             raise InvalidFormatError(f"entry {entry_id}: expected dim {dim}, got {len(vector)}")
         rows[entry_id] = vector
-    for entry in dictionary:
-        if rows[entry.entry_id] is None:
-            raise InvalidFormatError(f"no vector for entry {entry.entry_id} ({entry.code})")
+    for entry_id, entry in enumerate(dictionary):
+        if rows[entry_id] is None:
+            raise InvalidFormatError(f"no vector for entry {entry_id} ({entry.code})")
     if not len(dictionary):
         return EmbeddingIndex((), np.zeros((0, 1)))
     # EmbeddingIndex stacks the rows and rejects non-finite components

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icdkit.codes import load_dictionary_tsv, merge_synonyms, read_dictionary_tsv
+from icdkit.codes import load_dictionary, read_dictionary_tsv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,8 +43,8 @@ def corpus_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def merged_dictionary():
-    base = load_dictionary_tsv(FIXTURES / "dictionary.tsv")
-    return merge_synonyms(base, read_dictionary_tsv(FIXTURES / "synonyms.tsv"))
+    return load_dictionary(read_dictionary_tsv(FIXTURES / "dictionary.tsv")
+                           + read_dictionary_tsv(FIXTURES / "synonyms.tsv"))
 
 
 @pytest.fixture(scope="session")
@@ -60,12 +60,12 @@ def embedding_workspace(tmp_path_factory, merged_dictionary):
     dim = 8
     code_anchor: dict[str, np.ndarray] = {}
     rows = []
-    for entry in merged_dictionary:
+    for entry_id, entry in enumerate(merged_dictionary):
         anchor = code_anchor.setdefault(
             str(entry.code), np.round(rng.normal(0, 4.0, size=dim), 1)
         )
         jitter = np.round(rng.normal(0, 0.05, size=dim), 3)
-        rows.append((entry.entry_id, (anchor + jitter).tolist()))
+        rows.append((entry_id, (anchor + jitter).tolist()))
     embeddings_path = root / "embeddings.jsonl"
     write_embeddings_jsonl(embeddings_path, rows)
 

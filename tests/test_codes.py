@@ -1,17 +1,17 @@
 """Tests for ICD code parsing, truncation, and the dictionary."""
 
 import copy
+import dataclasses
 import pickle
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icdkit.codes import (
     DictEntry,
     IcdCode,
-    IcdDictionary,
     load_dictionary,
     load_dictionary_tsv,
     merge_synonyms,
@@ -21,6 +21,7 @@ from icdkit.codes import (
     truncate_to_group,
 )
 from icdkit.errors import InvalidFormatError
+from icdkit.ner import fuzzy_verify
 
 code_strategy = st.builds(
     "{}{}{}".format,
@@ -150,6 +151,28 @@ class TestTruncateToGroup:
         assert truncated.subcode is None
 
 
+# capitals, Greek, combining marks (acute, diaeresis, ypogegrammeni) and
+# whitespace, where NFC and case mapping meet
+NAME_TEXT = st.text("aAtTиИιΙϊΪάΆ\u0301\u0308\u0345 \t", max_size=8)
+
+
+class TestNormalizeName:
+    @settings(max_examples=300, derandomize=True)
+    @given(NAME_TEXT)
+    def test_normalized_name_is_a_fixed_point(self, text):
+        assert normalize_name(normalize_name(text)) == normalize_name(text)
+
+    # NFC then lowercase left these two apart from their own normal form
+    @pytest.mark.parametrize("text", ["\u03aa\u0301", "T\u0308"])
+    def test_fixed_point_where_case_mapping_meets_nfc(self, text):
+        assert normalize_name(normalize_name(text)) == normalize_name(text)
+
+    def test_capital_with_mark_equals_its_composed_lowercase(self):
+        d = load_dictionary([("A00", "T\u0308"), ("A00", "\u1e97")])
+        assert (len(d), d.dropped_duplicates) == (1, 1)
+        assert fuzzy_verify("\u1e97", "T\u0308", 0)
+
+
 class TestLoadDictionary:
     def test_exact_duplicate_dropped(self):
         d = load_dictionary([("H10", "conjunctivitis"), ("J00", "cold"), ("H10", "conjunctivitis")])
@@ -173,26 +196,30 @@ class TestLoadDictionary:
             load_dictionary([("H10", "ok"), ("10H", "bad")])
 
     def test_entry_ids_dense_and_stable(self):
+        # an entry's id is its position
         d = load_dictionary([("J00", "cold"), ("H10", "conjunctivitis"), ("H10", "pink eye")])
-        assert [e.entry_id for e in d] == [0, 1, 2]
-        assert [e.entry_id for e in d if e.code == parse_code("H10")] == [1, 2]
-        assert d.entry(0).name == "cold"
+        assert d.entries == (("J00", "cold"), ("H10", "conjunctivitis"), ("H10", "pink eye"))
+        assert [i for i, e in enumerate(d) if e.code == parse_code("H10")] == [1, 2]
+        assert d.entry(0) == DictEntry(parse_code("J00"), "cold")
 
-    def test_entry_ids_must_be_dense(self):
-        with pytest.raises(ValueError, match=r"^entry ids must be dense 0\.\.N-1, got 1 at 0$"):
-            IcdDictionary([DictEntry(1, parse_code("H10"), "x")])
+    def test_dictionary_is_frozen(self):
+        d = load_dictionary([("H10", "x")])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.entries = ()
 
     def test_codes_first_occurrence_order(self):
         d = load_dictionary([("J00", "a"), ("H10", "b"), ("J00", "c")])
         assert [str(c) for c in d.codes] == ["J00", "H10"]
 
 
+dictionary_rows = st.lists(st.tuples(code_strategy.map(str), NAME_TEXT), max_size=8)
+
+
 class TestMergeSynonyms:
     def test_union_adds_synonym(self):
         base = load_dictionary([("H10", "conjunctivitis")])
         merged = merge_synonyms(base, [("H10", "pink eye")])
-        assert len(merged) == 2
-        assert [e.entry_id for e in merged if e.code == parse_code("H10")] == [0, 1]
+        assert merged.entries == (("H10", "conjunctivitis"), ("H10", "pink eye"))
 
     def test_duplicates_leave_content_unchanged(self):
         base = load_dictionary([("H10", "conjunctivitis"), ("J00", "cold")])
@@ -210,15 +237,19 @@ class TestMergeSynonyms:
         base = load_dictionary([("H10", "a"), ("J00", "b")])
         merged = merge_synonyms(base, [("A00", "c")])
         assert merged.entries[:2] == base.entries
-        assert merged.entries[2].entry_id == 2
+        assert merged.entry(2) == ("A00", "c")
 
-    @given(
-        st.lists(st.tuples(code_strategy, st.text(" abcдeф", max_size=6)), max_size=8),
-        st.lists(st.tuples(code_strategy, st.text(" abcдeф", max_size=6)), max_size=8),
-    )
+    @settings(max_examples=100, derandomize=True)
+    @given(dictionary_rows, dictionary_rows)
+    def test_merge_is_one_build_over_both(self, base_rows, extra_rows):
+        base = load_dictionary(base_rows)
+        merged = merge_synonyms(base, extra_rows)
+        whole = load_dictionary(base_rows + extra_rows)
+        assert merged.entries == whole.entries
+        assert merged.dropped_duplicates == whole.dropped_duplicates - base.dropped_duplicates
+
+    @given(dictionary_rows, dictionary_rows)
     def test_monotone_union(self, base_rows, extra_rows):
-        base_rows = [(str(c), n) for c, n in base_rows]
-        extra_rows = [(str(c), n) for c, n in extra_rows]
         merged = merge_synonyms(load_dictionary(base_rows), extra_rows)
         expected = {(str(parse_code(c)), normalize_name(n)) for c, n in base_rows + extra_rows}
         assert key_set(merged) == expected

@@ -1,7 +1,8 @@
 """Behaviour lock: every demo-workspace report and artifact is pinned by hash.
 
 The demo workspace from ``scripts/make_demo_data.py`` is generated into a
-temporary directory and all ten subcommands run over it in-process. Each
+temporary directory and all ten subcommands run over it in-process, then
+import-selection once more over the demo's selection file. Each
 report is hashed with its ``config_hash`` removed, because that hash covers
 absolute paths and the option set, not results; every artifact is hashed
 as written. A refactor that changes any reported number, ordering or
@@ -22,6 +23,10 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_data.py"
 # in run order: import-selection reads the export-candidates output
 COMMANDS = ("parse", "stats", "agreement", "index", "retrieve", "eval-ner", "eval-coding",
             "eval-dp", "export-candidates", "import-selection")
+# (config name, subcommand): each subcommand under its own name, then the
+# selection-file path of import-selection
+RUNS = tuple((command, command) for command in COMMANDS) + (
+    ("import-selection-reranked", "import-selection"),)
 
 GOLDEN = {
     "agreement/agreement.json":
@@ -40,6 +45,10 @@ GOLDEN = {
         "9333b31b9182aec682964956d77e0a02f95fd990a30ccb4b34b316fc8fe79d07",
     "import-selection/resolved.jsonl":
         "85fe85b06c2d4b69a8ad99648128a5d9a780661338e089c39208668a157e9380",
+    "import-selection-reranked/import_selection.json":
+        "165cd97845659790d8076c291b55978af96cc8d3ff1fef675ca43e913639ea23",
+    "import-selection-reranked/resolved.jsonl":
+        "40c56910de8b3060e947a7b33f56c8a994f74a63fbfdb6b8317814073461461a",
     "index/index.json":
         "fb7a4b61aa86bde0da053c6ba82efb8a8ae520394c1429846aabaf436451b9ac",
     "parse/doc_codes.jsonl":
@@ -66,7 +75,7 @@ def _digest(path: Path, command: str) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _demo_script():
+def demo_script():
     spec = importlib.util.spec_from_file_location("make_demo_data", SCRIPT)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
@@ -74,17 +83,16 @@ def _demo_script():
 
 
 def demo_digests(out: Path, monkeypatch) -> dict[str, str]:
-    """Generate the demo workspace in ``out``, run every subcommand over it and hash what each wrote."""
-    demo = _demo_script()
+    """Generate the demo workspace in ``out``, run every config of ``RUNS`` over it and hash what each wrote."""
+    demo = demo_script()
     monkeypatch.setattr(sys, "argv", ["make_demo_data.py", "--out", str(out)])
     demo.main()
 
     digests = {}
-    for command in COMMANDS:
-        assert main([command, "--config", str(out / f"{command}.json")]) == 0, command
-        out_dir = out / "out" / command
-        for path in sorted(out_dir.iterdir()):
-            digests[f"{command}/{path.name}"] = _digest(path, command)
+    for name, command in RUNS:
+        assert main([command, "--config", str(out / f"{name}.json")]) == 0, name
+        for path in sorted((out / "out" / name).iterdir()):
+            digests[f"{name}/{path.name}"] = _digest(path, command)
     return digests
 
 
@@ -94,8 +102,8 @@ def test_demo_reports_and_artifacts_are_byte_stable(tmp_path, monkeypatch):
 
 def test_demo_configs_set_every_option(tmp_path):
     # an option no demo config sets is outside the digests above
-    _demo_script().write_configs(tmp_path)
+    demo_script().write_configs(tmp_path)
     configs = [json.loads(path.read_text(encoding="utf-8")) for path in tmp_path.glob("*.json")]
-    assert len(configs) == len(COMMANDS)
+    assert len(configs) == len(RUNS)
     assert {key for config in configs for key in config.get("options", {})} == {
         field.name for field in fields(Options)}

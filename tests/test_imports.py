@@ -1,5 +1,6 @@
 """Modules under ``src/icdkit`` use every name they import, reference every private
-helper they define and raise only the toolkit's error classes."""
+helper they define, build dictionary entries in one function and raise only the
+toolkit's error classes."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,44 @@ def test_finds_a_dead_private_helper():
 
 def test_every_private_helper_is_used():
     assert dead_helpers([path.read_text(encoding="utf-8") for path in MODULES]) == []
+
+
+DICTIONARY_TYPES = {"IcdDictionary", "DictEntry"}
+
+
+def dictionary_builders(sources: dict[str, str]) -> list[str]:
+    """``module.function`` for each innermost function of ``sources`` (module
+    name to source) that calls a name of ``DICTIONARY_TYPES``, bare or as an
+    attribute; a call outside any function is placed in ``module.<module>``."""
+    found = set()
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if callee in DICTIONARY_TYPES:
+                found.add(f"{module}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return sorted(found)
+
+
+def test_finds_a_second_dictionary_builder():
+    sources = {"a": ("def load():\n    return IcdDictionary((DictEntry(c, n),), 0)\n"
+                     "def merge(d):\n    def inner():\n        return codes.DictEntry(c, n)\n    return inner\n"
+                     "def read(d):\n    return d.entries, IcdDictionary\n"),
+               "b": "class C:\n    def make(self):\n        return IcdDictionary((), 0)\nX = DictEntry(c, n)\n"}
+    assert dictionary_builders(sources) == ["a.inner", "a.load", "b.<module>", "b.make"]
+
+
+def test_only_load_dictionary_builds_a_dictionary():
+    # one builder: an entry's id is its position in the one loop that makes entries
+    assert dictionary_builders({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == [
+        "codes.load_dictionary"]
 
 
 # input faults, config faults and bad library arguments; see icdkit.errors

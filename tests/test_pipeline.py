@@ -38,9 +38,9 @@ def build_toy_index(dictionary):
     # entries of one code share a region so synonym collapsing matters
     anchors = {"D50.9": [0.0, 0.0], "H10.0": [5.0, 0.0], "H10.3": [5.0, 1.0], "J00": [0.0, 6.0]}
     vectors = {}
-    for entry in dictionary:
+    for entry_id, entry in enumerate(dictionary):
         base = anchors[str(entry.code)]
-        vectors[entry.entry_id] = [base[0] + 0.05 * entry.entry_id, base[1]]
+        vectors[entry_id] = [base[0] + 0.05 * entry_id, base[1]]
     return build_index(dictionary, vectors.items())
 
 
@@ -118,6 +118,6 @@ def test_synonym_entries_collapse_to_one_rank():
 
 def test_missing_vector_surfaces_before_any_query():
     dictionary = load_dictionary(DICT_ROWS)
-    vectors = {e.entry_id: [1.0, 2.0] for e in dictionary if e.entry_id != 3}
+    vectors = {entry_id: [1.0, 2.0] for entry_id in range(len(dictionary)) if entry_id != 3}
     with pytest.raises(InvalidFormatError, match="^no vector for entry 3 "):
         build_index(dictionary, vectors.items())
