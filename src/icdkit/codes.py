@@ -20,14 +20,14 @@ from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_lines
 
 _CODE_RE = re.compile(r"[A-Z][0-9]{2}(?:\.[0-9]{1,2})?")
-_WS_RE = re.compile(r"\s+")
 
 
 class IcdCode(str):
     """A validated ICD-10 code: a ``str`` whose value is its canonical text.
 
     It hashes, compares and sorts as that text, so ``H10 < H10.0 < H11``
-    and ``IcdCode("H10") == "H10"``. Pickle and copy rebuild it through
+    and ``IcdCode("H10") == "H10"``; its parts are the slices ``code[0]``,
+    ``code[1:3]`` and ``code[4:]``. Pickle and copy rebuild it through
     ``__new__`` from that text, so a loaded code is validated again.
     """
 
@@ -37,18 +37,6 @@ class IcdCode(str):
         if _CODE_RE.fullmatch(text) is None:
             raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
         return super().__new__(cls, text)
-
-    @property
-    def chapter(self) -> str:
-        return self[0]
-
-    @property
-    def group(self) -> str:
-        return self[1:3]
-
-    @property
-    def subcode(self) -> str | None:
-        return self[4:] or None
 
 
 def parse_code(text: str) -> IcdCode:
@@ -78,16 +66,17 @@ def truncate_to_group(code: IcdCode) -> IcdCode:
 
     Identity for codes that already sit at group level, and idempotent.
     """
-    return code if code.subcode is None else IcdCode(code[:3])
+    return code if len(code) == 3 else IcdCode(code[:3])
 
 
 def normalize_name(name: str) -> str:
     """Canonical form of a disease name: lowercase, then NFC, then collapsed
-    spaces. NFC is not closed under case mapping: ``T`` + U+0308 has no
-    composed form, but its lowercase ``t`` + U+0308 composes to ``ẗ``. So
-    NFC comes after lowercasing, and a normalized name normalizes to itself.
+    whitespace (what ``str.split`` splits on). NFC is not closed under case
+    mapping: ``T`` + U+0308 has no composed form, but its lowercase ``t`` +
+    U+0308 composes to ``ẗ``. So NFC comes after lowercasing, and a
+    normalized name normalizes to itself.
     """
-    return _WS_RE.sub(" ", unicodedata.normalize("NFC", name.lower())).strip()
+    return " ".join(unicodedata.normalize("NFC", name.lower()).split())
 
 
 class DictEntry(NamedTuple):

@@ -41,17 +41,18 @@ def key_set(dictionary):
 
 
 class TestParseCode:
+    # a code's parts are the slices code[0], code[1:3] and code[4:] of its text
     def test_subcoded(self):
         code = parse_code("H10.0")
-        assert (code.chapter, code.group, code.subcode) == ("H", "10", "0")
+        assert (code[0], code[1:3], code[4:]) == ("H", "10", "0")
 
     def test_past_mi_code(self):
         code = parse_code("I25.2")
-        assert (code.chapter, code.group, code.subcode) == ("I", "25", "2")
+        assert (code[0], code[1:3], code[4:]) == ("I", "25", "2")
 
     def test_group_level(self):
         code = parse_code("J00")
-        assert code.subcode is None
+        assert (code[0], code[1:3], code[4:]) == ("J", "00", "")
         assert str(code) == "J00"
 
     def test_malformed(self):
@@ -98,7 +99,6 @@ class TestParseCode:
         code = parse_code(text)
         for loaded in (pickle.loads(pickle.dumps(code, protocol=protocol)), copy.deepcopy(code)):
             assert type(loaded) is IcdCode and loaded == code
-            assert (loaded.chapter, loaded.group, loaded.subcode) == (code.chapter, code.group, code.subcode)
 
     @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
     def test_unpickling_validates_the_text(self, protocol):
@@ -131,7 +131,7 @@ class TestTruncateToGroup:
 
     def test_identity_on_group(self):
         code = parse_code("H10")
-        assert truncate_to_group(code) == code
+        assert truncate_to_group(code) is code
 
     def test_strip_after_dot_oracle(self):
         # independent oracle: drop everything after the dot in the text form
@@ -147,13 +147,17 @@ class TestTruncateToGroup:
     @given(code_strategy)
     def test_keeps_chapter_and_group(self, code):
         truncated = truncate_to_group(code)
-        assert (truncated.chapter, truncated.group) == (code.chapter, code.group)
-        assert truncated.subcode is None
+        assert truncated == code[:3]
+        if len(code) == 3:
+            assert truncated is code
 
 
 # capitals, Greek, combining marks (acute, diaeresis, ypogegrammeni) and
 # whitespace, where NFC and case mapping meet
 NAME_TEXT = st.text("aAtTиИιΙϊΪάΆ\u0301\u0308\u0345 \t", max_size=8)
+# every code point for which str.isspace() is true: what str.split splits on
+WHITESPACE = [*"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680", *map(chr, range(0x2000, 0x200B)),
+              "\u2028", "\u2029", "\u202f", "\u205f", "\u3000"]
 
 
 class TestNormalizeName:
@@ -166,6 +170,18 @@ class TestNormalizeName:
     @pytest.mark.parametrize("text", ["\u03aa\u0301", "T\u0308"])
     def test_fixed_point_where_case_mapping_meets_nfc(self, text):
         assert normalize_name(normalize_name(text)) == normalize_name(text)
+
+    @pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+    def test_every_whitespace_collapses(self, space):
+        assert space.isspace()
+        assert normalize_name(f"{space * 2}a{space * 2}b{space * 2}") == "a b"
+
+    # zero width space, Mongolian vowel separator and BOM: neither str.split
+    # nor re's \s counts them as whitespace
+    @pytest.mark.parametrize("char", ["\u200b", "\u180e", "\ufeff"], ids=["U+200B", "U+180E", "U+FEFF"])
+    def test_zero_width_characters_are_kept(self, char):
+        assert not char.isspace()
+        assert normalize_name(f"{char}a{char}b{char}") == f"{char}a{char}b{char}"
 
     def test_capital_with_mark_equals_its_composed_lowercase(self):
         d = load_dictionary([("A00", "T\u0308"), ("A00", "\u1e97")])

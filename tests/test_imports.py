@@ -69,6 +69,37 @@ def test_every_private_helper_is_used():
     assert dead_helpers([path.read_text(encoding="utf-8") for path in MODULES]) == []
 
 
+ROOT = Path(__file__).parents[1]
+# the code that calls src/: the package itself, its scripts and the benchmark
+CALLERS = MODULES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def unread_members(classes: list[str], readers: list[str]) -> list[str]:
+    """``Class.name`` for each method or property of a class in ``classes``
+    whose name no ``x.name`` attribute read in ``readers`` uses; dunder names
+    are skipped, since the language calls them."""
+    defined = [f"{node.name}.{item.name}" for tree in map(ast.parse, classes) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (item.name.startswith("__") and item.name.endswith("__"))]
+    read = {node.attr for tree in map(ast.parse, readers) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [member for member in defined if member.partition(".")[2] not in read]
+
+
+def test_finds_an_unread_member():
+    classes = ["class C:\n    def __len__(self):\n        return 0\n    def read(self):\n        pass\n"
+               "    @property\n    def unread(self):\n        pass\n    def written(self):\n        pass\n"]
+    readers = ["c.read()\nc.written = 1\nunread = 2\n"]
+    assert unread_members(classes, readers) == ["C.unread", "C.written"]
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    # a method or property that only tests read is API the program does not need
+    assert unread_members([path.read_text(encoding="utf-8") for path in MODULES],
+                          [path.read_text(encoding="utf-8") for path in CALLERS]) == []
+
+
 DICTIONARY_TYPES = {"IcdDictionary", "DictEntry"}
 
 
