@@ -145,7 +145,7 @@ class RunConfig:
 
 
 def _load_index(config: RunConfig) -> tuple[IcdDictionary, EmbeddingIndex]:
-    from icdkit.retrieval import build_index, load_embeddings_jsonl
+    from icdkit.retrieval import load_index
     dictionary_path = config.path("dictionary")
     rows = read_dictionary_tsv(dictionary_path)
     synonyms_path = config.path("synonyms", required=False)
@@ -154,13 +154,7 @@ def _load_index(config: RunConfig) -> tuple[IcdDictionary, EmbeddingIndex]:
     dictionary = load_dictionary(rows)  # one build: dropped_duplicates counts both files
     if not len(dictionary):
         raise InvalidFormatError(f"{dictionary_path}: the dictionary has no entries")
-    embeddings_path = config.path("embeddings")
-    vectors = load_embeddings_jsonl(embeddings_path)
-    try:
-        return dictionary, build_index(dictionary, vectors)
-    except InvalidFormatError as exc:
-        # build_index sees pairs, not lines: the file is named here, the entry id in the message
-        raise InvalidFormatError(f"{embeddings_path}: {exc}") from exc
+    return dictionary, load_index(config.path("embeddings"), dictionary)
 
 
 def _query_row(row: dict, dim: int) -> dict:

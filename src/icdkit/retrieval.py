@@ -16,8 +16,10 @@ degrades to that full scan.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
+import re
 import signal
 import sys
 from dataclasses import dataclass
@@ -25,7 +27,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import orjson
 
+from icdkit import jsonl
 from icdkit.codes import IcdCode, IcdDictionary, parse_code, truncate_to_group
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import parse_json, read_lines, typed_field
@@ -40,6 +44,9 @@ SPLIT_BYTES = 32 * 2**20
 # process with more than one thread, and importing numpy starts OpenBLAS's
 # thread pool, so there every split would warn; it reads in one process.
 CAN_SPLIT = hasattr(os, "fork") and sys.version_info < (3, 12)
+# Beside an embeddings JSONL, as __pycache__ is beside sources (PEP 3147),
+# this directory keeps its parsed matrix: see load_index.
+CACHE_DIR = "__icdkit_cache__"
 
 
 @dataclass(frozen=True)
@@ -283,6 +290,100 @@ def _split_point(path: str | Path) -> int | None:
         handle.readline()
         mid = handle.tell()
     return mid if mid < size else None
+
+
+def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
+    """The index of ``dictionary`` over the embeddings at ``path``: a ``.npy``
+    matrix (see :func:`matrix_index`), or else JSONL rows.
+
+    A JSONL file is first looked up in ``CACHE_DIR`` beside it, under the
+    SHA-256 of its bytes and of the rules that parse it (this module's and
+    ``jsonl``'s sources, orjson's version), as PEP 552's hash-based pycs
+    are. An entry that :func:`matrix_index` accepts is a hit. Anything
+    else is a miss: :func:`load_embeddings_jsonl` and :func:`build_index`
+    run, and raise what they raise, naming the file. Only an index they
+    build is saved, whole or not at all, and it replaces the other entries
+    of the file's name; a directory that cannot be written is parsed every
+    time.
+    """
+    path = Path(path)
+    if path.suffix == ".npy":
+        return matrix_index(path, dictionary)
+    cache = None
+    try:
+        before = _stamp(path)
+        cache = path.parent / CACHE_DIR / f"{path.name}.{_content_key(path)}.npy"
+        return matrix_index(cache, dictionary)
+    except (OSError, ValueError):
+        pass  # a miss
+    vectors = load_embeddings_jsonl(path)
+    try:
+        index = build_index(dictionary, vectors)
+    except InvalidFormatError as exc:
+        # build_index sees pairs, not lines: the file is named here, the entry id in the message
+        raise InvalidFormatError(f"{path}: {exc}") from exc
+    try:
+        # a file rewritten while it was parsed may not match the key
+        if cache is not None and _stamp(path) == before:
+            _save_matrix(cache, index.matrix)
+    except OSError:
+        pass  # a read-only directory or a full disk
+    return index
+
+
+def matrix_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
+    """The index of ``dictionary`` over the ``.npy`` matrix at ``path``, row
+    *i* for entry id *i*, memory-mapped read-only by ``numpy.load``'s ``.npy``
+    reader, which never unpickles. The array must be 2-D, of a float dtype,
+    with one row per entry, at least one column and finite values; any
+    other file raises :class:`InvalidFormatError` naming it and what it holds.
+    """
+    try:
+        matrix = np.lib.format.open_memmap(path, mode="r")
+    except ValueError as exc:  # cut short, a pickle, an object array
+        raise InvalidFormatError(f"{path}: cannot map a .npy array: {exc}") from exc
+    if matrix.ndim != 2 or matrix.dtype.kind != "f" or matrix.shape[0] != len(dictionary) or not matrix.shape[1]:
+        raise InvalidFormatError(f"{path}: expected a 2-D float array of {len(dictionary)} rows, one per "
+                                 f"dictionary entry, found {matrix.dtype} of shape {matrix.shape}")
+    try:
+        return EmbeddingIndex([entry.code for entry in dictionary], matrix)
+    except InvalidFormatError as exc:  # a NaN or an infinity
+        raise InvalidFormatError(f"{path}: {exc}") from exc
+
+
+def _stamp(path: Path) -> tuple[int, int, int]:
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _content_key(path: Path) -> str:
+    digest = hashlib.sha256(orjson.__version__.encode())
+    for source in (__file__, jsonl.__file__):
+        digest.update(Path(source).read_bytes())
+    with open(path, "rb") as handle:  # in chunks: hashlib.file_digest is 3.11+
+        while chunk := handle.read(2**20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _save_matrix(cache: Path, matrix: np.ndarray) -> None:
+    """Write ``matrix`` to ``cache`` by a rename, then remove the entries of
+    the same source file under other keys."""
+    cache.parent.mkdir(exist_ok=True)
+    tmp = cache.with_name(f"{cache.name}.{os.urandom(8).hex()}.tmp")
+    # "x": a new file, with the umask's mode (mkstemp's 0600 would keep it from other users)
+    handle = open(tmp, "xb")
+    try:
+        with handle:
+            np.lib.format.write_array(handle, matrix, allow_pickle=False)
+        os.replace(tmp, cache)
+    finally:
+        tmp.unlink(missing_ok=True)
+    source, _, _ = cache.name.rsplit(".", 2)
+    stale = re.compile(re.escape(source) + r"\.[0-9a-f]{64}\.npy")
+    for entry in cache.parent.iterdir():
+        if entry != cache and stale.fullmatch(entry.name):
+            entry.unlink(missing_ok=True)
 
 
 def export_candidates(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -744,6 +745,26 @@ class TestMalformedRows:
         assert f"{files[bad_key].resolve()}:{lineno}:" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("array, found", [
+        (np.zeros(2), "found float64 of shape (2,)"),
+        (np.zeros((2, 1), dtype=np.int64), "found int64 of shape (2, 1)"),
+        (np.array([[1.0, 2.0], [np.nan, 0.0]]), "embedding matrix contains non-finite values"),
+        (np.zeros((3, 2)), "found float64 of shape (3, 2)"),
+        (np.zeros((2, 0)), "found float64 of shape (2, 0)"),
+        (np.array([[1.0], [2.0]], dtype=object), "cannot map a .npy array: "),
+    ], ids=["1-d", "int", "nan", "row-count", "no-columns", "object-array"])
+    def test_bad_npy_embeddings_exit_3_naming_file(self, tmp_path, capsys, array, found):
+        paths = {"dictionary": tmp_path / "dictionary.tsv", "embeddings": tmp_path / "embeddings.npy",
+                 "output_dir": tmp_path / "out"}
+        paths["dictionary"].write_text("J00\tcold\nJ01\tsinusitis\n", encoding="utf-8")
+        np.save(paths["embeddings"], array, allow_pickle=array.dtype == object)
+        assert run_cli("index", write_config(tmp_path / "cfg.json", paths)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths['embeddings'].resolve()}: ") and found in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "__icdkit_cache__").exists()
 
     @pytest.mark.parametrize("command", ["parse", "stats", "eval-ner"])
     @pytest.mark.parametrize("ann, lineno, message", [

@@ -82,12 +82,20 @@ def demo_script():
     return demo
 
 
-def demo_digests(out: Path, monkeypatch) -> dict[str, str]:
-    """Generate the demo workspace in ``out``, run every config of ``RUNS`` over it and hash what each wrote."""
-    demo = demo_script()
+def make_demo(out: Path, monkeypatch) -> None:
+    """Generate the demo workspace in ``out``."""
     monkeypatch.setattr(sys, "argv", ["make_demo_data.py", "--out", str(out)])
-    demo.main()
+    demo_script().main()
 
+
+def demo_digests(out: Path, monkeypatch) -> dict[str, str]:
+    """Generate the demo workspace in ``out``, then :func:`run_digests`."""
+    make_demo(out, monkeypatch)
+    return run_digests(out)
+
+
+def run_digests(out: Path) -> dict[str, str]:
+    """Run every config of ``RUNS`` over the demo workspace in ``out`` and hash what each wrote."""
     digests = {}
     for name, command in RUNS:
         assert main([command, "--config", str(out / f"{name}.json")]) == 0, name

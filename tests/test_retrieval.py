@@ -2,24 +2,29 @@
 
 import contextlib
 import errno
+import io
 import json
 import math
 import os
 import pickle
 import random
+import shutil
 import signal
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdkit import retrieval
+from icdkit import jsonl, retrieval
+from icdkit.cli import main
 from icdkit.codes import load_dictionary, parse_code
 from icdkit.errors import InvalidFormatError
 from icdkit.codes import IcdCode
 from icdkit.retrieval import (
+    CACHE_DIR,
     EmbeddingIndex,
     Hit,
     RankedCandidates,
@@ -31,7 +36,7 @@ from icdkit.retrieval import (
     retrieve,
 )
 from conftest import brute_force, write_embeddings_jsonl
-from test_golden import GOLDEN, demo_digests
+from test_golden import GOLDEN, RUNS, demo_digests, make_demo, run_digests
 
 
 @pytest.fixture(scope="module")
@@ -656,8 +661,185 @@ class TestSplitLoad:
     def test_demo_reports_and_artifacts_unchanged(self, tmp_path, monkeypatch):
         with split_floor(0) as (forks, reads):
             assert demo_digests(tmp_path, monkeypatch) == GOLDEN
+        assert len(forks) == 1  # index; retrieve and export-candidates read its cached matrix
+        assert not reads  # the load parsed the file once
+
+    def test_demo_unchanged_when_every_step_splits(self, tmp_path, monkeypatch):
+        (tmp_path / CACHE_DIR).write_text("")  # a file where the cache directory would go
+        with split_floor(0) as (forks, reads):
+            assert demo_digests(tmp_path, monkeypatch) == GOLDEN
         assert len(forks) == 3  # index, retrieve and export-candidates
         assert not reads  # each load parsed the file once
+
+
+def outputs(root):
+    """Every file the runs wrote under ``root / "out"``, as bytes by relative path."""
+    out = root / "out"
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def npy_bytes(array, allow_pickle=False):
+    handle = io.BytesIO()
+    np.save(handle, array, allow_pickle=allow_pickle)
+    return handle.getvalue()
+
+
+def demo_matrix(root):
+    """The demo's embeddings as one float64 matrix, row i for entry id i, read without icdkit."""
+    rows = [json.loads(line) for line in (root / "embeddings.jsonl").read_text(encoding="utf-8").splitlines()]
+    return np.array([row["vector"] for row in sorted(rows, key=lambda row: row["id"])], dtype=np.float64)
+
+
+def with_nan(matrix):
+    matrix = matrix.copy()
+    matrix[-1, -1] = np.nan
+    return matrix
+
+
+class TestEmbeddingsCache:
+    """An embeddings JSONL parsed once: later steps read its matrix from ``__icdkit_cache__``."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """A list that gains the path of every parse of an embeddings JSONL."""
+        calls, load = [], retrieval.load_embeddings_jsonl
+        monkeypatch.setattr(retrieval, "load_embeddings_jsonl", lambda path: calls.append(path) or load(path))
+        return calls
+
+    @staticmethod
+    def entries(root):
+        return sorted(path.name for path in (root / CACHE_DIR).iterdir())
+
+    @staticmethod
+    def run(root, name):
+        assert main([dict(RUNS)[name], "--config", str(root / f"{name}.json")]) == 0, name
+        return outputs(root)
+
+    def test_cold_warm_and_blocked_write_the_same_bytes(self, tmp_path, monkeypatch, parses):
+        make_demo(tmp_path, monkeypatch)
+        assert run_digests(tmp_path) == GOLDEN
+        cold = outputs(tmp_path)
+        assert len(parses) == 1  # index; retrieve and export-candidates hit
+        (entry,) = self.entries(tmp_path)
+        assert entry.startswith("embeddings.jsonl.") and entry.endswith(".npy")
+
+        shutil.rmtree(tmp_path / "out")
+        run_digests(tmp_path)
+        assert outputs(tmp_path) == cold
+        assert len(parses) == 1  # index hits too
+
+        shutil.rmtree(tmp_path / "out")
+        shutil.rmtree(tmp_path / CACHE_DIR)
+        (tmp_path / CACHE_DIR).write_text("")  # nothing can be read or written there
+        run_digests(tmp_path)
+        assert outputs(tmp_path) == cold
+        assert len(parses) == 4
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data, matrix: data[:-8],
+        lambda data, matrix: npy_bytes(matrix.astype(object), allow_pickle=True),
+        lambda data, matrix: pickle.dumps(matrix),
+        lambda data, matrix: npy_bytes(matrix.astype(np.int64)),
+        lambda data, matrix: npy_bytes(matrix.ravel()),
+        lambda data, matrix: npy_bytes(matrix[:-1]),
+        lambda data, matrix: npy_bytes(with_nan(matrix)),
+        lambda data, matrix: b"",
+    ], ids=["truncated", "object-array", "pickle", "int", "1-d", "row-count", "nan", "empty"])
+    def test_corrupt_entry_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, parses, corrupt):
+        make_demo(tmp_path, monkeypatch)
+        expected = self.run(tmp_path, "retrieve")
+        (entry,) = (tmp_path / CACHE_DIR).iterdir()
+        good = entry.read_bytes()
+        assert np.array_equal(np.load(entry), demo_matrix(tmp_path))
+        entry.write_bytes(corrupt(good, demo_matrix(tmp_path)))
+        assert self.run(tmp_path, "retrieve") == expected
+        assert len(parses) == 2
+        assert entry.read_bytes() == good
+        assert self.entries(tmp_path) == [entry.name]
+
+    def test_bad_row_after_a_good_cache_is_the_parse_error(self, tmp_path, monkeypatch, capsys):
+        make_demo(tmp_path, monkeypatch)
+        self.run(tmp_path, "index")
+        cached = self.entries(tmp_path)
+        path = tmp_path / "embeddings.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = '{"id": 2, "vector": "x"}\n'
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["index", "--config", str(tmp_path / "index.json")]) == 3
+        assert capsys.readouterr().err == f"error: {path.resolve()}:3: vector must be a flat list of numbers\n"
+        assert self.entries(tmp_path) == cached  # an error is not cached
+
+    def test_one_entry_per_source_and_no_temporary_left(self, tmp_path, monkeypatch, parses):
+        make_demo(tmp_path, monkeypatch)
+        # a second source whose name begins with the first's keeps its own entry
+        other = tmp_path / "embeddings.jsonl.old"
+        shutil.copy(tmp_path / "embeddings.jsonl", other)
+        config = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
+        config["paths"]["embeddings"] = other.name
+        (tmp_path / "other.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["index", "--config", str(tmp_path / "other.json")]) == 0
+        (kept,) = self.entries(tmp_path)
+        self.run(tmp_path, "index")
+        for _ in range(3):  # each edit changes the key, not the vectors
+            with open(tmp_path / "embeddings.jsonl", "a", encoding="utf-8") as handle:
+                handle.write("\n")
+            self.run(tmp_path, "index")
+            entries = self.entries(tmp_path)
+            assert len(entries) == 2 and kept in entries
+        assert len(parses) == 5
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+    def test_unwritable_cache_leaves_nothing_and_changes_nothing(self, tmp_path, monkeypatch, parses):
+        make_demo(tmp_path, monkeypatch)
+        expected = self.run(tmp_path, "retrieve")
+        shutil.rmtree(tmp_path / CACHE_DIR)
+
+        def disk_full(handle, array, allow_pickle):
+            handle.write(b"\x93NUMPY")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(np.lib.format, "write_array", disk_full)
+        assert self.run(tmp_path, "retrieve") == expected
+        assert self.entries(tmp_path) == []  # no entry and no temporary file
+        assert len(parses) == 2
+
+    def test_a_file_rewritten_while_parsed_is_not_cached(self, tmp_path, monkeypatch):
+        make_demo(tmp_path, monkeypatch)
+        path, load = tmp_path / "embeddings.jsonl", retrieval.load_embeddings_jsonl
+
+        def rewritten_while_parsed(source):
+            rows = load(source)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write("\n")
+            return rows
+
+        monkeypatch.setattr(retrieval, "load_embeddings_jsonl", rewritten_while_parsed)
+        self.run(tmp_path, "index")
+        assert not (tmp_path / CACHE_DIR).exists()  # the key hashed the bytes before the edit
+
+    def test_a_changed_parse_rule_is_a_miss(self, tmp_path, monkeypatch, parses):
+        make_demo(tmp_path, monkeypatch)
+        self.run(tmp_path, "index")
+        (before,) = self.entries(tmp_path)
+        edited = tmp_path / "jsonl.py"
+        edited.write_bytes(Path(jsonl.__file__).read_bytes() + b"# a new rule\n")
+        monkeypatch.setattr(jsonl, "__file__", str(edited))
+        self.run(tmp_path, "index")
+        assert len(parses) == 2
+        (after,) = self.entries(tmp_path)
+        assert after != before
+
+    def test_npy_twin_of_the_demo_embeddings_writes_the_same_reports(self, tmp_path, monkeypatch, parses):
+        make_demo(tmp_path, monkeypatch)
+        np.save(tmp_path / "embeddings.npy", demo_matrix(tmp_path))
+        for config in tmp_path.glob("*.json"):
+            body = json.loads(config.read_text(encoding="utf-8"))
+            if "embeddings" in body["paths"]:
+                body["paths"]["embeddings"] = "embeddings.npy"
+                config.write_text(json.dumps(body), encoding="utf-8")
+        assert run_digests(tmp_path) == GOLDEN  # only config_hash, left out of a digest, differs
+        assert not parses
+        assert not (tmp_path / CACHE_DIR).exists()
 
 
 class TestDictionaryScale:
