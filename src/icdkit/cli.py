@@ -39,7 +39,7 @@ from icdkit.jsonl import dump_jsonl, parse_json, read_text, read_unique, typed_f
 from icdkit.metrics import ConfusionCounts, micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 
-if TYPE_CHECKING:  # numpy costs ~0.17 s, so only retrieval steps import retrieval
+if TYPE_CHECKING:  # numpy costs ~0.11 s, so only retrieval steps import retrieval
     from icdkit.retrieval import EmbeddingIndex, RankedCandidates
 
 _PATH_KEYS = frozenset({

@@ -2,16 +2,17 @@
 
 The index holds one embedding per dictionary entry and answers exact
 Euclidean top-k queries, ties broken by the lower entry id so every
-ranking is reproducible. A query costs one GEMV plus O(k·d): the
-expansion ‖x‖² − 2x·q + ‖q‖² (as in FAISS ``IndexFlatL2``), with the row
-norms computed once at build, gives every row an approximate squared
-distance in one matrix-vector product. Only rows within a proven
-rounding margin of the k-th smallest approximation, about k of them,
-are rescored with the direct ``Σ(x − q)²`` and ranked. The margin bounds
-the rounding error of both formulas, so the shortlist always holds the
-true top k, and ids, tie order and distance bits equal a full scan with
-the direct formula; an overflow makes the margin infinite, which
-degrades to that full scan.
+ranking is reproducible. A block of up to ``BATCH`` queries costs one
+GEMM, plus O(k·d) per query: the expansion ‖x‖² − 2x·q + ‖q‖² (as in
+FAISS ``IndexFlatL2``), with the row norms computed once at build, gives
+every row an approximate squared distance to every query of the block in
+one matrix product, whose peak is about 40 MB per 256 queries at 20 060
+rows. Only rows within a proven rounding margin of a query's k-th
+smallest approximation, about k of them, are rescored with the direct
+``Σ(x − q)²`` and ranked. The margin bounds the rounding error of both
+formulas, so the shortlist always holds the true top k, and ids, tie
+order and distance bits equal a full scan with the direct formula; an
+overflow makes the margin infinite, which degrades to that full scan.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import pickle
 import re
 import signal
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import orjson
@@ -47,6 +49,14 @@ CAN_SPLIT = hasattr(os, "fork") and sys.version_info < (3, 12)
 # Beside an embeddings JSONL, as __pycache__ is beside sources (PEP 3147),
 # this directory keeps its parsed matrix: see load_index.
 CACHE_DIR = "__icdkit_cache__"
+# A stat record vouches for a file only if the file's ctime precedes the
+# recorded stat by more than this (git's "racily clean" rule): a write in
+# the same timestamp tick leaves the stat unchanged. FAT's ticks are 2 s.
+RACY_NS = 2 * 10**9
+_RECORD = re.compile(rb"(-?\d+(?: -?\d+){4}) (-?\d+) ([0-9a-f]{64})\n")
+# Queries ranked by one GEMM: a block's approximations are BATCH × rows
+# float64, about 40 MB at the paper's 20 060 rows.
+BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,16 @@ class EmbeddingIndex:
 
     def __init__(self, codes: Sequence[IcdCode], matrix: np.ndarray | Sequence[Sequence[float]]):
         # the one copy of the vectors: later writes to the caller's rows cannot reach it
-        matrix = np.array(matrix, dtype=np.float64)
+        self._take(codes, np.array(matrix, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, codes: Sequence[IcdCode], matrix: np.ndarray) -> EmbeddingIndex:
+        """The index over ``matrix`` itself, a float64 array that nothing else holds."""
+        index = cls.__new__(cls)
+        index._take(codes, matrix)
+        return index
+
+    def _take(self, codes: Sequence[IcdCode], matrix: np.ndarray) -> None:
         if matrix.ndim != 2:
             raise InvalidFormatError("embedding matrix must be 2-D")
         if len(codes) != matrix.shape[0]:
@@ -137,51 +156,69 @@ def retrieve(
 
     Returns at most ``k`` hits with non-decreasing distances.
     """
+    return retrieve_batch(index, [query], k, [query_id])[0]
+
+
+def retrieve_batch(
+    index: EmbeddingIndex, queries: Sequence[Sequence[float]] | np.ndarray, k: int,
+    query_ids: Sequence[str],
+) -> list[RankedCandidates]:
+    """:func:`retrieve` for each of ``queries`` in order, the i-th with query
+    id ``query_ids[i]``. Each block of ``BATCH`` queries takes its
+    approximations from one GEMM; every query's hits are those it has alone.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != index.dim:
-        raise InvalidFormatError(f"query dim {q.shape} does not match index dim {index.dim}")
-    if not np.isfinite(q).all():
-        raise InvalidFormatError("query contains non-finite values")
-    if k < len(index):
-        # Shortlist by approx = ‖x‖² − 2x·q + ‖q‖², then rescore it exactly.
-        # Margin, with u = 2**-53, r = max‖x‖ + ‖q‖ and D the true squared
-        # distance: a sum of d terms, in any order (pairwise, blocked BLAS),
-        # is off by at most about d·u·Σ|term| (Higham 2002, §3.1).
-        # - approx: its three sums' |terms| add to at most r², and its two
-        #   additions each add u·r², so |approx − D| ≤ (d+2)·u·r².
-        # - exact, the direct Σ(x − q)²: one rounding per difference and per
-        #   square, then a sum of d non-negative terms: |exact − D| ≤ (d+2)·u·r².
-        # So |approx − exact| ≤ 2(d+2)·u·r²; eps takes c = 4, which covers
-        # second-order terms, r from rounded norms and the rounding of eps
-        # and thr. A product that underflows is also off by up to 2**-1075
-        # (sums that underflow are exact); a row's approx and exact take 5d
-        # products (2x·q counted twice), under the absolute 4(d+2)·2**-1074.
-        # The k rows with approx <= T have exact <= T + eps, so every row of
-        # the exact top k has approx <= T + 2·eps and is kept.
-        # Overflow: approx's intermediates stay near r², a quarter of (2r)²,
-        # so any overflow makes eps inf (or thr NaN), and ~(approx > thr)
-        # then keeps every row, NaN rows too: a full rescan.
-        with np.errstate(over="ignore", invalid="ignore"):
-            qq = q @ q
-            approx = index.sq_norms - 2.0 * (index.matrix @ q) + qq
-            two_r = 2.0 * (index.max_norm + float(np.sqrt(qq)))
-            eps = (index.dim + 2) * (2.0**-53 * (two_r * two_r) + 2.0**-1072)
-            thr = np.partition(approx, k - 1)[k - 1] + 2.0 * eps
-            cand = np.flatnonzero(~(approx > thr))
-    else:
-        cand = np.arange(len(index))
-    with np.errstate(over="ignore"):
-        diff = index.matrix[cand] - q
-        dist_sq = (diff * diff).sum(axis=1)
-    # cand ascends by entry id, so a stable argsort keeps id order among exact ties
-    order = np.argsort(dist_sq, kind="stable")[:k]
-    hits = tuple(
-        Hit(int(cand[i]), index.codes[cand[i]], float(np.sqrt(dist_sq[i])))
-        for i in order
-    )
-    return RankedCandidates(query_id=query_id, hits=hits)
+    if len(query_ids) != len(queries):
+        raise ValueError(f"{len(query_ids)} query ids for {len(queries)} queries")
+    ranked = []
+    for start in range(0, len(queries), BATCH):
+        block = np.asarray(queries[start:start + BATCH], dtype=np.float64)
+        if block.ndim != 2 or block.shape[1] != index.dim:
+            raise InvalidFormatError(f"query dim {block.shape[1:]} does not match index dim {index.dim}")
+        if not np.isfinite(block).all():
+            raise InvalidFormatError("query contains non-finite values")
+        if k < len(index):
+            # Shortlist by approx = ‖x‖² − 2x·q + ‖q‖², then rescore it exactly.
+            # Margin, with u = 2**-53, r = max‖x‖ + ‖q‖ and D the true squared
+            # distance: a sum of d terms, in any order (pairwise, blocked BLAS),
+            # is off by at most about d·u·Σ|term| (Higham 2002, §3.1).
+            # - approx: its three sums' |terms| add to at most r², and its two
+            #   additions each add u·r², so |approx − D| ≤ (d+2)·u·r².
+            # - exact, the direct Σ(x − q)²: one rounding per difference and per
+            #   square, then a sum of d non-negative terms: |exact − D| ≤ (d+2)·u·r².
+            # So |approx − exact| ≤ 2(d+2)·u·r²; eps takes c = 4, which covers
+            # second-order terms, r from rounded norms and the rounding of eps
+            # and thr. A product that underflows is also off by up to 2**-1075
+            # (sums that underflow are exact); a row's approx and exact take 5d
+            # products (2x·q counted twice), under the absolute 4(d+2)·2**-1074.
+            # The k rows with approx <= T have exact <= T + eps, so every row of
+            # the exact top k has approx <= T + 2·eps and is kept.
+            # Overflow: approx's intermediates stay near r², a quarter of (2r)²,
+            # so any overflow makes eps inf (or thr NaN), and ~(approx > thr)
+            # then keeps every row, NaN rows too: a full rescan.
+            with np.errstate(over="ignore", invalid="ignore"):
+                qq = np.einsum("ij,ij->i", block, block)
+                approx = block @ index.matrix.T  # in place below: one block-sized array
+                approx *= -2.0
+                approx += index.sq_norms
+                approx += qq[:, None]
+                two_r = 2.0 * (index.max_norm + np.sqrt(qq))
+                eps = (index.dim + 2) * (2.0**-53 * (two_r * two_r) + 2.0**-1072)
+        for row, q in enumerate(block):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if k < len(index):
+                    thr = np.partition(approx[row], k - 1)[k - 1] + 2.0 * eps[row]
+                    cand = np.flatnonzero(~(approx[row] > thr))
+                else:
+                    cand = np.arange(len(index))
+                diff = index.matrix[cand] - q
+                dist_sq = (diff * diff).sum(axis=1)
+            # cand ascends by entry id, so a stable argsort keeps id order among exact ties
+            order = np.argsort(dist_sq, kind="stable")[:k]
+            hits = tuple(Hit(int(cand[i]), index.codes[cand[i]], float(np.sqrt(dist_sq[i]))) for i in order)
+            ranked.append(RankedCandidates(query_id=query_ids[start + row], hits=hits))
+    return ranked
 
 
 def _code_hit(cands: RankedCandidates, gold: IcdCode, k: int, mode: str) -> bool:
@@ -297,25 +334,40 @@ def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
     matrix (see :func:`matrix_index`), or else JSONL rows.
 
     A JSONL file is first looked up in ``CACHE_DIR`` beside it, under the
-    SHA-256 of its bytes and of the rules that parse it (this module's and
-    ``jsonl``'s sources, orjson's version), as PEP 552's hash-based pycs
-    are. An entry that :func:`matrix_index` accepts is a hit. Anything
-    else is a miss: :func:`load_embeddings_jsonl` and :func:`build_index`
-    run, and raise what they raise, naming the file. Only an index they
-    build is saved, whole or not at all, and it replaces the other entries
-    of the file's name; a directory that cannot be written is parsed every
-    time.
+    SHA-256 of the rules that parse it (this module's and ``jsonl``'s
+    sources, orjson's version) and of the SHA-256 of its bytes, as PEP
+    552's hash-based pycs are. The file is not read for its digest if its
+    stat record, ``CACHE_DIR/<file name>.stat``, holds the file's present
+    (device, inode, size, mtime, ctime) and that ctime precedes the
+    wall-clock time of the recorded stat by more than ``RACY_NS``;
+    otherwise the file is hashed. An entry that :func:`matrix_index`
+    accepts is a hit. Anything else is a miss: :func:`load_embeddings_jsonl`
+    and :func:`build_index` run, and raise what they raise, naming the
+    file. Only an index they build is saved, whole or not at all, and it
+    replaces the other entries of the file's name. A hashed hit or a save
+    rewrites the record. A directory that cannot be written is parsed
+    every time.
     """
     path = Path(path)
     if path.suffix == ".npy":
         return matrix_index(path, dictionary)
     cache = None
+    record = path.parent / CACHE_DIR / f"{path.name}.stat"
     try:
-        before = _stamp(path)
-        cache = path.parent / CACHE_DIR / f"{path.name}.{_content_key(path)}.npy"
-        return matrix_index(cache, dictionary)
+        # a write after the stat gets a ctime no earlier than stamped, less a clock tick
+        stamped, before = time.time_ns(), _stamp(path)
+        digest = _recorded_digest(record, before)
+        hashed = digest is None
+        if hashed:
+            digest = _file_digest(path)
+        cache = path.parent / CACHE_DIR / f"{path.name}.{_entry_key(digest)}.npy"
+        index = matrix_index(cache, dictionary)
     except (OSError, ValueError):
         pass  # a miss
+    else:
+        if hashed:
+            _save_record(record, before, stamped, digest)
+        return index
     vectors = load_embeddings_jsonl(path)
     try:
         index = build_index(dictionary, vectors)
@@ -326,6 +378,7 @@ def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
         # a file rewritten while it was parsed may not match the key
         if cache is not None and _stamp(path) == before:
             _save_matrix(cache, index.matrix)
+            _save_record(record, before, stamped, digest)
     except OSError:
         pass  # a read-only directory or a full disk
     return index
@@ -333,52 +386,88 @@ def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
 
 def matrix_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
     """The index of ``dictionary`` over the ``.npy`` matrix at ``path``, row
-    *i* for entry id *i*, memory-mapped read-only by ``numpy.load``'s ``.npy``
-    reader, which never unpickles. The array must be 2-D, of a float dtype,
-    with one row per entry, at least one column and finite values; any
-    other file raises :class:`InvalidFormatError` naming it and what it holds.
+    *i* for entry id *i*, read whole by numpy's ``.npy`` reader, which never
+    unpickles, into an array that the index keeps without a copy. The array
+    must be 2-D, of a float dtype, with one row per entry, at least one
+    column and finite values; any other file raises
+    :class:`InvalidFormatError` naming it and what it holds.
     """
     try:
-        matrix = np.lib.format.open_memmap(path, mode="r")
+        with open(path, "rb") as handle:
+            matrix = np.lib.format.read_array(handle, allow_pickle=False)
     except ValueError as exc:  # cut short, a pickle, an object array
-        raise InvalidFormatError(f"{path}: cannot map a .npy array: {exc}") from exc
+        raise InvalidFormatError(f"{path}: cannot read a .npy array: {exc}") from exc
     if matrix.ndim != 2 or matrix.dtype.kind != "f" or matrix.shape[0] != len(dictionary) or not matrix.shape[1]:
         raise InvalidFormatError(f"{path}: expected a 2-D float array of {len(dictionary)} rows, one per "
                                  f"dictionary entry, found {matrix.dtype} of shape {matrix.shape}")
     try:
-        return EmbeddingIndex([entry.code for entry in dictionary], matrix)
+        return EmbeddingIndex._adopt([entry.code for entry in dictionary], matrix.astype(np.float64, copy=False))
     except InvalidFormatError as exc:  # a NaN or an infinity
         raise InvalidFormatError(f"{path}: {exc}") from exc
 
 
-def _stamp(path: Path) -> tuple[int, int, int]:
+def _stamp(path: Path) -> tuple[int, ...]:
+    """What any write to ``path`` changes: its device, inode, size, mtime and ctime."""
     st = os.stat(path)
-    return st.st_ino, st.st_size, st.st_mtime_ns
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _content_key(path: Path) -> str:
-    digest = hashlib.sha256(orjson.__version__.encode())
-    for source in (__file__, jsonl.__file__):
-        digest.update(Path(source).read_bytes())
+def _file_digest(path: Path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as handle:  # in chunks: hashlib.file_digest is 3.11+
         while chunk := handle.read(2**20):
             digest.update(chunk)
     return digest.hexdigest()
 
 
-def _save_matrix(cache: Path, matrix: np.ndarray) -> None:
-    """Write ``matrix`` to ``cache`` by a rename, then remove the entries of
-    the same source file under other keys."""
-    cache.parent.mkdir(exist_ok=True)
-    tmp = cache.with_name(f"{cache.name}.{os.urandom(8).hex()}.tmp")
+def _entry_key(file_digest: str) -> str:
+    """The cache key of a file of SHA-256 ``file_digest``, under the parse rules of this source."""
+    key = hashlib.sha256(orjson.__version__.encode())
+    for source in (__file__, jsonl.__file__):
+        key.update(Path(source).read_bytes())
+    key.update(file_digest.encode())
+    return key.hexdigest()
+
+
+def _recorded_digest(record: Path, stamp: tuple[int, ...]) -> str | None:
+    """The digest in ``record`` if it was recorded for a file of stat
+    ``stamp`` whose ctime precedes the recording by more than ``RACY_NS``."""
+    try:
+        match = _RECORD.fullmatch(record.read_bytes())
+    except OSError:
+        return None
+    valid = match and tuple(map(int, match[1].split())) == stamp and stamp[-1] < int(match[2]) - RACY_NS
+    return match[3].decode() if valid else None
+
+
+def _save_record(record: Path, stamp: tuple[int, ...], stamped: int, digest: str) -> None:
+    """Record ``digest`` for the file of stat ``stamp``, taken just after
+    wall-clock time ``stamped``, unless the record cannot be written."""
+    line = f"{' '.join(map(str, stamp))} {stamped} {digest}\n".encode()
+    try:
+        _write_file(record, lambda handle: handle.write(line))
+    except OSError:
+        pass  # a read-only directory or a full disk
+
+
+def _write_file(target: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Make ``target`` by a rename, from a new file that ``write`` fills."""
+    target.parent.mkdir(exist_ok=True)
+    tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
     # "x": a new file, with the umask's mode (mkstemp's 0600 would keep it from other users)
     handle = open(tmp, "xb")
     try:
         with handle:
-            np.lib.format.write_array(handle, matrix, allow_pickle=False)
-        os.replace(tmp, cache)
+            write(handle)
+        os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _save_matrix(cache: Path, matrix: np.ndarray) -> None:
+    """Write ``matrix`` to ``cache`` by a rename, then remove the entries of
+    the same source file under other keys."""
+    _write_file(cache, lambda handle: np.lib.format.write_array(handle, matrix, allow_pickle=False))
     source, _, _ = cache.name.rsplit(".", 2)
     stale = re.compile(re.escape(source) + r"\.[0-9a-f]{64}\.npy")
     for entry in cache.parent.iterdir():

@@ -336,8 +336,10 @@ class TestRetrievalCommands:
                  "queries": tmp_path / "queries.jsonl", "output_dir": tmp_path / "out"}
         paths["dictionary"].write_text("J00\tcold\n", encoding="utf-8")
         paths["embeddings"].write_text('{"id": 0, "vector": [1e200, 1e200]}\n', encoding="utf-8")
-        paths["queries"].write_text('{"mention_id": "q1", "vector": [-1e200, -1e200]}\n',
-                                    encoding="utf-8")
+        # q0 is finite; q1 and q2 overflow, and the first in file order is named
+        paths["queries"].write_text('{"mention_id": "q0", "vector": [1e200, 1e200]}\n'
+                                    '{"mention_id": "q1", "vector": [-1e200, -1e200]}\n'
+                                    '{"mention_id": "q2", "vector": [-1e200, 1e200]}\n', encoding="utf-8")
         assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 3
         assert capsys.readouterr().err == (f"error: {paths['queries'].resolve()}: mention_id 'q1': "
                                            "distance to entry 0 overflows a double\n")
@@ -752,7 +754,7 @@ class TestMalformedRows:
         (np.array([[1.0, 2.0], [np.nan, 0.0]]), "embedding matrix contains non-finite values"),
         (np.zeros((3, 2)), "found float64 of shape (3, 2)"),
         (np.zeros((2, 0)), "found float64 of shape (2, 0)"),
-        (np.array([[1.0], [2.0]], dtype=object), "cannot map a .npy array: "),
+        (np.array([[1.0], [2.0]], dtype=object), "cannot read a .npy array: "),
     ], ids=["1-d", "int", "nan", "row-count", "no-columns", "object-array"])
     def test_bad_npy_embeddings_exit_3_naming_file(self, tmp_path, capsys, array, found):
         paths = {"dictionary": tmp_path / "dictionary.tsv", "embeddings": tmp_path / "embeddings.npy",

@@ -10,8 +10,10 @@ import pickle
 import random
 import shutil
 import signal
+import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from icdkit.retrieval import (
     import_selection,
     load_embeddings_jsonl,
     retrieve,
+    retrieve_batch,
 )
 from conftest import brute_force, write_embeddings_jsonl
 from test_golden import GOLDEN, RUNS, demo_digests, make_demo, run_digests
@@ -69,10 +72,31 @@ def retrieved(index, query, k):
     return [(h.entry_id, h.distance.hex()) for h in hits]
 
 
-def rows_read(index, queries, k):
-    """How many rows of ``index.matrix`` each ``retrieve`` call rescores: the
-    matrix is swapped for a view that records the length of each array index.
-    A full rescan returns the same hits as the shortlist, so only this tells."""
+def batch_retrieved(index, queries, k, block):
+    """``retrieve_batch``'s hits per query as (id, distance bits), in blocks
+    of ``block`` queries; any RuntimeWarning raises."""
+    with warnings.catch_warnings(), mock.patch.object(retrieval, "BATCH", block):
+        warnings.simplefilter("error")
+        ranked = retrieve_batch(index, queries, k, [""] * len(queries))
+    return [[(h.entry_id, h.distance.hex()) for h in cands.hits] for cands in ranked]
+
+
+def assert_matches_scan(index, queries, k):
+    """Every query through ``retrieve`` alone, and all of them through
+    ``retrieve_batch`` in blocks of 1 and of 3, so that four or more
+    straddle a block edge, give ``scan_oracle``'s ids and distance bits."""
+    expected = [scan_oracle(index, query, k) for query in queries]
+    assert [retrieved(index, query, k) for query in queries] == expected
+    for block in (1, 3):
+        assert batch_retrieved(index, queries, k, block) == expected
+
+
+def rows_read(index, queries, k, block=None):
+    """How many rows of ``index.matrix`` are rescored for each query, by
+    ``retrieve`` one query at a time or, given ``block``, by
+    ``retrieve_batch`` in blocks of that many: the matrix is swapped for a
+    view that records the length of each array index. A full rescan
+    returns the same hits as the shortlist, so only this tells."""
     reads = []
 
     class RecordingMatrix(np.ndarray):
@@ -82,8 +106,12 @@ def rows_read(index, queries, k):
             return super().__getitem__(key)
 
     index.matrix = index.matrix.view(RecordingMatrix)
-    for query in queries:
-        retrieve(index, query, k)
+    if block is None:
+        for query in queries:
+            retrieve(index, query, k)
+    else:
+        with mock.patch.object(retrieval, "BATCH", block):
+            retrieve_batch(index, queries, k, [""] * len(queries))
     return reads
 
 
@@ -212,7 +240,7 @@ class TestRetrieve:
 
 
 class TestShortlistMatchesScan:
-    """``retrieve`` against ``scan_oracle`` on values where rounding matters.
+    """``retrieve`` and ``retrieve_batch`` against ``scan_oracle`` on values where rounding matters.
 
     Non-dyadic components round differently in ‖x‖² − 2x·q + ‖q‖² and in
     Σ(x − q)², so a shortlist margin that is too small, or that drops NaN
@@ -230,10 +258,9 @@ class TestShortlistMatchesScan:
         comps = st.floats(-1.0, 1.0).map(lambda x: offset + x / 3.0)
         rows = data.draw(st.lists(st.lists(comps, min_size=dim, max_size=dim),
                                   min_size=1, max_size=25))
-        query = data.draw(st.lists(comps, min_size=dim, max_size=dim))
+        queries = data.draw(st.lists(st.lists(comps, min_size=dim, max_size=dim), min_size=1, max_size=5))
         k = data.draw(st.integers(1, len(rows) + 2))
-        index = code_index(rows)
-        assert retrieved(index, query, k) == scan_oracle(index, query, k)
+        assert_matches_scan(code_index(rows), queries, k)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_rows_ulps_apart_with_duplicates(self, seed):
@@ -249,10 +276,11 @@ class TestShortlistMatchesScan:
             rows.append(row)
         rows += [list(rows[rng.randrange(len(rows))]) for _ in range(rng.randint(1, 5))]
         rng.shuffle(rows)
-        query = [math.nextafter(c, rng.choice([math.inf, -math.inf])) for c in center]
+        queries = [[math.nextafter(c, rng.choice([math.inf, -math.inf])) for c in center]
+                   for _ in range(4)] + [center, rows[0]]
         index = code_index(rows)
         for k in (1, 2, rng.randint(1, len(rows)), len(rows)):
-            assert retrieved(index, query, k) == scan_oracle(index, query, k)
+            assert_matches_scan(index, queries, k)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_query_equal_to_a_duplicated_row(self, seed):
@@ -279,10 +307,9 @@ class TestShortlistMatchesScan:
         far = [[rng.uniform(-1, 1) * scale for _ in range(dim)] for _ in range(rng.randint(0, 10))]
         rows = near + far + [list(near[0]), [math.nextafter(x, 0.0) for x in near[0]]]
         rng.shuffle(rows)
-        query = center
         index = code_index(rows)
         for k in (1, 3, len(rows) - 1):
-            assert retrieved(index, query, k) == scan_oracle(index, query, k)
+            assert_matches_scan(index, [center, near[0], rows[0], near[-1]], k)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_shared_huge_component(self, seed):
@@ -291,11 +318,12 @@ class TestShortlistMatchesScan:
         rng = random.Random(seed)
         big = rng.uniform(1, 9) * 10.0 ** rng.randint(154, 200)
         rows = [[big] + [rng.gauss(0, 1) for _ in range(4)] for _ in range(rng.randint(2, 30))]
-        query = [big] + [rng.gauss(0, 1) for _ in range(4)]
+        queries = [[big] + [rng.gauss(0, 1) for _ in range(4)] for _ in range(4)]
         index = code_index(rows)
         for k in (1, 2, len(rows) - 1):
-            assert retrieved(index, query, k) == scan_oracle(index, query, k)
-        assert rows_read(index, [query], 1) == [len(rows)]
+            assert_matches_scan(index, queries, k)
+        for block in (None, 1, 3):
+            assert rows_read(index, queries, 1, block) == [len(rows)] * 4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_norms_near_overflow(self, seed):
@@ -309,31 +337,50 @@ class TestShortlistMatchesScan:
             return big + [rng.gauss(0, 1) for _ in range(3)]
 
         rows = [vector() for _ in range(rng.randint(2, 30))]
-        query = vector()
+        queries = [vector() for _ in range(4)]
         index = code_index(rows)
         for k in (1, 2, len(rows) - 1):
-            assert retrieved(index, query, k) == scan_oracle(index, query, k)
+            assert_matches_scan(index, queries, k)
 
     def test_k_at_least_n_and_one_row(self):
         rows = [[0.1, 0.7], [0.3, -0.2], [0.1, 0.7]]
+        queries = [[0.2, 0.2], [0.1, 0.7], [-0.3, 0.2], [0.3, -0.2]]
         index = code_index(rows)
         for k in (3, 4, 100):
-            assert retrieved(index, [0.2, 0.2], k) == scan_oracle(index, [0.2, 0.2], k)
-            assert rows_read(index, [[0.2, 0.2]], k) == [3]
+            assert_matches_scan(index, queries, k)
+            for block in (None, 1, 3):
+                assert rows_read(index, queries, k, block) == [3] * 4
         one = code_index([[0.1, 0.7]])
-        assert retrieved(one, [0.2, 0.2], 1) == scan_oracle(one, [0.2, 0.2], 1)
+        assert_matches_scan(one, queries, 1)
 
     def test_empty_index(self):
         index = build_index(load_dictionary([]), [])
         assert retrieved(index, [0.5], 1) == scan_oracle(index, [0.5], 1) == []
+        assert batch_retrieved(index, [[0.5]] * 4, 1, 3) == [[]] * 4
 
     def test_random_rows_rescore_at_most_2k(self):
         # the shortlist holds about k rows; the exact top k of 2000 never
         # needs all of them rescored
         rng = np.random.default_rng(3)
         index = code_index(rng.normal(0, 1, size=(2000, 16)))
-        reads = rows_read(index, rng.normal(0, 1, size=(20, 16)), k=15)
-        assert len(reads) == 20 and max(reads) <= 30, reads
+        queries = rng.normal(0, 1, size=(20, 16))
+        for block in (None, 1, 7, 256):
+            reads = rows_read(index, queries, 15, block)
+            assert len(reads) == 20 and max(reads) <= 30, (block, reads)
+
+    def test_batch_keeps_query_order_and_ids(self):
+        rng = np.random.default_rng(5)
+        index = code_index(rng.normal(0, 1, size=(50, 4)))
+        queries = rng.normal(0, 1, size=(7, 4))
+        with mock.patch.object(retrieval, "BATCH", 3):
+            ranked = retrieve_batch(index, queries, 5, [f"q{i}" for i in range(7)])
+            assert retrieve_batch(index, queries[:0], 5, []) == []
+            with pytest.raises(ValueError, match="^2 query ids for 7 queries$"):
+                retrieve_batch(index, queries, 5, ["a", "b"])
+            # a bad query in a later block is named as retrieve names it
+            with pytest.raises(InvalidFormatError, match="^query contains non-finite values$"):
+                retrieve_batch(index, [*queries[:5], [np.nan] * 4], 5, [""] * 6)
+        assert ranked == [retrieve(index, query, 5, f"q{i}") for i, query in enumerate(queries)]
 
 
 def ranked(codes, query_id="q"):
@@ -696,6 +743,35 @@ def with_nan(matrix):
     return matrix
 
 
+@contextlib.contextmanager
+def opens_of(path):
+    """A list that gains an item for every open of ``path`` inside the block,
+    by ``open``, ``io.open`` or ``os.open`` alike."""
+    path, opens = os.path.abspath(path), []
+
+    def counting(real):
+        def counted(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.path.abspath(file) == path:
+                opens.append(file)
+            return real(file, *args, **kwargs)
+        return counted
+
+    with mock.patch("builtins.open", counting(open)), mock.patch("io.open", counting(io.open)), \
+            mock.patch("os.open", counting(os.open)):
+        yield opens
+
+
+def swap_ones_and_twos(data):
+    """The JSONL ``data`` with every 1 and 2 in its vectors swapped: other
+    values, in the same number of bytes."""
+    swap = bytes.maketrans(b"12", b"21")
+    lines = []
+    for line in data.splitlines(keepends=True):
+        head, sep, vector = line.partition(b'"vector"')
+        lines.append(head + sep + vector.translate(swap))
+    return b"".join(lines)
+
+
 class TestEmbeddingsCache:
     """An embeddings JSONL parsed once: later steps read its matrix from ``__icdkit_cache__``."""
 
@@ -708,12 +784,21 @@ class TestEmbeddingsCache:
 
     @staticmethod
     def entries(root):
-        return sorted(path.name for path in (root / CACHE_DIR).iterdir())
+        """The names in the cache directory but the stat records'."""
+        return sorted(path.name for path in (root / CACHE_DIR).iterdir() if path.suffix != ".stat")
 
     @staticmethod
     def run(root, name):
         assert main([dict(RUNS)[name], "--config", str(root / f"{name}.json")]) == 0, name
         return outputs(root)
+
+    @staticmethod
+    def date_record(root, after_ns):
+        """Date the stat record of the demo's embeddings ``after_ns`` after the file's last change."""
+        record = root / CACHE_DIR / "embeddings.jsonl.stat"
+        *stamp, _, digest = record.read_text(encoding="ascii").split()
+        dated = (root / "embeddings.jsonl").stat().st_ctime_ns + after_ns
+        record.write_text(" ".join([*stamp, str(dated), digest]) + "\n", encoding="ascii")
 
     def test_cold_warm_and_blocked_write_the_same_bytes(self, tmp_path, monkeypatch, parses):
         make_demo(tmp_path, monkeypatch)
@@ -748,7 +833,8 @@ class TestEmbeddingsCache:
     def test_corrupt_entry_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, parses, corrupt):
         make_demo(tmp_path, monkeypatch)
         expected = self.run(tmp_path, "retrieve")
-        (entry,) = (tmp_path / CACHE_DIR).iterdir()
+        (name,) = self.entries(tmp_path)
+        entry = tmp_path / CACHE_DIR / name
         good = entry.read_bytes()
         assert np.array_equal(np.load(entry), demo_matrix(tmp_path))
         entry.write_bytes(corrupt(good, demo_matrix(tmp_path)))
@@ -828,6 +914,89 @@ class TestEmbeddingsCache:
         assert len(parses) == 2
         (after,) = self.entries(tmp_path)
         assert after != before
+
+    def test_warm_hit_with_a_valid_record_never_opens_the_source(self, tmp_path, monkeypatch, parses):
+        make_demo(tmp_path, monkeypatch)
+        expected = self.run(tmp_path, "retrieve")
+        self.date_record(tmp_path, retrieval.RACY_NS + 1)
+        with opens_of(tmp_path / "embeddings.jsonl") as opens:
+            assert self.run(tmp_path, "retrieve") == expected
+            self.run(tmp_path, "export-candidates")
+        assert opens == [] and len(parses) == 1
+
+    @pytest.mark.parametrize("after_ns", [0, retrieval.RACY_NS], ids=["same-tick", "at-the-margin"])
+    def test_racy_record_hashes_the_file_and_is_rewritten(self, tmp_path, monkeypatch, parses, after_ns):
+        make_demo(tmp_path, monkeypatch)
+        expected = self.run(tmp_path, "retrieve")
+        self.date_record(tmp_path, after_ns)
+        record = tmp_path / CACHE_DIR / "embeddings.jsonl.stat"
+        racy = record.read_bytes()
+        with opens_of(tmp_path / "embeddings.jsonl") as opens:
+            assert self.run(tmp_path, "retrieve") == expected
+        assert len(opens) == 1 and len(parses) == 1  # hashed, then a hit
+        assert record.read_bytes() != racy
+
+    def test_record_is_dated_when_the_file_was_stamped(self, tmp_path, monkeypatch):
+        # a write in the stamp's ctime tick leaves the stamp as it was, so the
+        # record must find it racy however long the parse took after the stamp
+        make_demo(tmp_path, monkeypatch)
+        load = retrieval.load_embeddings_jsonl
+        monkeypatch.setattr(retrieval, "load_embeddings_jsonl", lambda path: time.sleep(0.5) or load(path))
+        started = time.time_ns()
+        self.run(tmp_path, "index")
+        dated = int((tmp_path / CACHE_DIR / "embeddings.jsonl.stat").read_text(encoding="ascii").split()[5])
+        assert started <= dated < started + 0.4e9
+
+    def test_rewritten_in_place_with_its_mtime_reset_is_parsed_again(self, tmp_path, monkeypatch, parses):
+        make_demo(tmp_path, monkeypatch)
+        first = self.run(tmp_path, "retrieve")
+        self.date_record(tmp_path, retrieval.RACY_NS + 1)  # valid while the file is unchanged
+        path = tmp_path / "embeddings.jsonl"
+        before = path.stat()
+        edited = swap_ones_and_twos(path.read_bytes())
+        with open(path, "r+b") as handle:
+            handle.write(edited)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, before.st_size, before.st_mtime_ns)
+        assert after.st_ctime_ns != before.st_ctime_ns
+        shutil.rmtree(tmp_path / "out")
+        warm = self.run(tmp_path, "retrieve")
+        assert len(parses) == 2 and warm != first
+        shutil.rmtree(tmp_path / "out")
+        shutil.rmtree(tmp_path / CACHE_DIR)
+        assert self.run(tmp_path, "retrieve") == warm  # a cold run
+
+    def test_a_copy_to_a_new_inode_hashes_and_hits(self, tmp_path, monkeypatch, parses):
+        make_demo(tmp_path, monkeypatch)
+        expected = self.run(tmp_path, "retrieve")
+        self.date_record(tmp_path, retrieval.RACY_NS + 1)
+        path = tmp_path / "embeddings.jsonl"
+        inode = path.stat().st_ino
+        shutil.copy2(path, tmp_path / "copy.jsonl")
+        os.replace(tmp_path / "copy.jsonl", path)
+        assert path.stat().st_ino != inode
+        with opens_of(path) as opens:
+            assert self.run(tmp_path, "retrieve") == expected
+        assert len(opens) == 1 and len(parses) == 1
+
+    @pytest.mark.parametrize("spoil", [
+        lambda record: record.write_bytes(record.read_bytes()[:-10]),
+        lambda record: record.write_bytes(record.read_bytes()[:-65] + b"g" * 64 + b"\n"),
+        lambda record: record.write_bytes(record.read_bytes().replace(b" ", b"  ", 1)),
+        lambda record: record.write_bytes(b""),
+        lambda record: record.unlink(),
+        lambda record: record.unlink() or record.mkdir(),
+    ], ids=["truncated", "digest-not-hex", "corrupt", "empty", "missing", "a-directory"])
+    def test_spoilt_record_hashes_the_file(self, tmp_path, monkeypatch, parses, spoil):
+        make_demo(tmp_path, monkeypatch)
+        expected = self.run(tmp_path, "retrieve")
+        record = tmp_path / CACHE_DIR / "embeddings.jsonl.stat"
+        self.date_record(tmp_path, retrieval.RACY_NS + 1)
+        spoil(record)
+        with opens_of(tmp_path / "embeddings.jsonl") as opens:
+            assert self.run(tmp_path, "retrieve") == expected
+        assert len(opens) == 1 and len(parses) == 1
 
     def test_npy_twin_of_the_demo_embeddings_writes_the_same_reports(self, tmp_path, monkeypatch, parses):
         make_demo(tmp_path, monkeypatch)
