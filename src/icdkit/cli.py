@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -35,7 +34,7 @@ from icdkit.diagnosis import (
     weighted_f1,
 )
 from icdkit.errors import ConfigError, InvalidFormatError
-from icdkit.jsonl import dump_jsonl, parse_json, read_text, read_unique, typed_field
+from icdkit.jsonl import dump_jsonl, parse_json, read_text, read_unique, typed_field, write_file
 from icdkit.metrics import ConfusionCounts, micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 
@@ -423,16 +422,11 @@ def run(command: str, config: RunConfig) -> dict:
     report_text = json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
     report_name = command.replace("-", "_") + ".json"
     # the report last; with artifacts, an old report is removed first, so a report
-    # on disk is from the run that wrote the files beside it. Each is renamed in whole
+    # on disk is from the run that wrote the files beside it
     if artifacts:
         (out_dir / report_name).unlink(missing_ok=True)
     for filename, text in {**artifacts, report_name: report_text}.items():
-        tmp = out_dir / (filename + ".tmp")
-        try:
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, out_dir / filename)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_file(out_dir / filename, lambda handle: handle.write(text.encode("utf-8")))
     return report
 
 

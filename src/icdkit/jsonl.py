@@ -1,4 +1,5 @@
-"""The one reader of JSONL, TSV and BRAT ``.ann`` line files, and the JSONL writer.
+"""The one reader of JSONL, TSV and BRAT ``.ann`` line files, the JSONL
+renderer, and :func:`write_file`, the one writer of every report, artifact and cache file.
 
 :func:`read_lines` also reads a byte range, such as a half of a split
 embeddings load: it drops a BOM only at byte 0 and numbers lines from its start.
@@ -14,9 +15,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, TypeVar
 
 import orjson
 
@@ -166,3 +168,17 @@ def dump_jsonl(rows: Iterable[dict]) -> str:
     or infinite float raises ValueError, since no JSON reader takes it back."""
     return "".join(json.dumps(row, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n"
                    for row in rows)
+
+
+def write_file(target: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Make ``target`` by a rename, so no reader sees it half written, from
+    a new temp beside it, ``<target name>.<16 hex digits>.tmp``, that ``write`` fills."""
+    tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
+    # "x": a new file, with the umask's mode (mkstemp's 0600 would keep it from other users)
+    handle = open(tmp, "xb")
+    try:
+        with handle:
+            write(handle)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)

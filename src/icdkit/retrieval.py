@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import orjson
@@ -34,7 +34,7 @@ import orjson
 from icdkit import jsonl
 from icdkit.codes import IcdCode, IcdDictionary, parse_code, truncate_to_group
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import parse_json, read_lines, typed_field
+from icdkit.jsonl import parse_json, read_lines, typed_field, write_file
 
 # An embeddings file this large is parsed by two processes: from here up the
 # split was no slower than a one-process read even with the other CPU busy.
@@ -284,7 +284,7 @@ def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
     pid = rows = None
     try:  # no pipe or process to be had reads again below, like a bad row
         read_fd, write_fd = os.pipe()
-        with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
+        with os.fdopen(read_fd, "rb") as pipe, os.fdopen(write_fd, "wb") as sink:
             pid = os.fork()
             if pid == 0:
                 try:  # the worker never returns into its caller's code
@@ -344,9 +344,9 @@ def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
     accepts is a hit. Anything else is a miss: :func:`load_embeddings_jsonl`
     and :func:`build_index` run, and raise what they raise, naming the
     file. Only an index they build is saved, whole or not at all, and it
-    replaces the other entries of the file's name. A hashed hit or a save
-    rewrites the record. A directory that cannot be written is parsed
-    every time.
+    replaces the file name's other entries and killed writers' temps. A
+    hashed hit or a save rewrites the record. A directory that cannot be
+    written is parsed every time.
     """
     path = Path(path)
     if path.suffix == ".npy":
@@ -377,7 +377,7 @@ def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
     try:
         # a file rewritten while it was parsed may not match the key
         if cache is not None and _stamp(path) == before:
-            _save_matrix(cache, index.matrix)
+            _save_matrix(cache, path.name, index.matrix)
             _save_record(record, before, stamped, digest)
     except OSError:
         pass  # a read-only directory or a full disk
@@ -445,31 +445,20 @@ def _save_record(record: Path, stamp: tuple[int, ...], stamped: int, digest: str
     wall-clock time ``stamped``, unless the record cannot be written."""
     line = f"{' '.join(map(str, stamp))} {stamped} {digest}\n".encode()
     try:
-        _write_file(record, lambda handle: handle.write(line))
+        write_file(record, lambda handle: handle.write(line))
     except OSError:
         pass  # a read-only directory or a full disk
 
 
-def _write_file(target: Path, write: Callable[[BinaryIO], object]) -> None:
-    """Make ``target`` by a rename, from a new file that ``write`` fills."""
-    target.parent.mkdir(exist_ok=True)
-    tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
-    # "x": a new file, with the umask's mode (mkstemp's 0600 would keep it from other users)
-    handle = open(tmp, "xb")
-    try:
-        with handle:
-            write(handle)
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _save_matrix(cache: Path, matrix: np.ndarray) -> None:
-    """Write ``matrix`` to ``cache`` by a rename, then remove the entries of
-    the same source file under other keys."""
-    _write_file(cache, lambda handle: np.lib.format.write_array(handle, matrix, allow_pickle=False))
-    source, _, _ = cache.name.rsplit(".", 2)
-    stale = re.compile(re.escape(source) + r"\.[0-9a-f]{64}\.npy")
+def _save_matrix(cache: Path, source: str, matrix: np.ndarray) -> None:
+    """Write ``matrix`` to ``cache`` by a rename, then remove the file
+    ``source``'s entries under other keys and the temps of its entries and
+    record, which a killed writer leaves; a live writer whose temp goes
+    fails its rename, as on a full disk."""
+    cache.parent.mkdir(exist_ok=True)
+    write_file(cache, lambda handle: np.lib.format.write_array(handle, matrix, allow_pickle=False))
+    stale = re.compile(re.escape(source) + r"\.(?:[0-9a-f]{64}\.npy(?:\.[0-9a-f]{16}\.tmp)?"
+                                           r"|stat\.[0-9a-f]{16}\.tmp)")
     for entry in cache.parent.iterdir():
         if entry != cache and stale.fullmatch(entry.name):
             entry.unlink(missing_ok=True)

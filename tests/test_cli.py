@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import errno
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdkit import __version__, diagnosis
+from icdkit import __version__, cli, diagnosis
 from icdkit.cli import RunConfig, main
 from icdkit.errors import ConfigError
 from icdkit.corpus import read_corpus_dir
@@ -109,17 +110,34 @@ class TestStats:
         cfg = write_config(tmp_path / "cfg.json", {"corpus_dir": corpus_dir, "output_dir": out})
         assert run_cli("stats", cfg) == 0
         before = (out / "stats.json").read_bytes()
-        write_text = Path.write_text
+        write_file = cli.write_file
 
-        def torn_write(path, text, *args, **kwargs):
-            write_text(path, text[:len(text) // 2], *args, **kwargs)
-            raise OSError("no space left on device")
+        def torn_write(target, write):
+            def half_then_disk_full(handle):
+                whole = io.BytesIO()
+                write(whole)
+                handle.write(whole.getvalue()[:whole.tell() // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_file(target, half_then_disk_full)
 
-        monkeypatch.setattr(Path, "write_text", torn_write)
+        monkeypatch.setattr(cli, "write_file", torn_write)
         assert run_cli("stats", cfg) == 3
         monkeypatch.undo()
         assert (out / "stats.json").read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["stats.json"]
+
+    def test_files_named_like_temps_are_left_alone(self, tmp_path, corpus_dir):
+        # each run writes through temps of its own random names, so no leftover is in its way
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", {"corpus_dir": corpus_dir, "output_dir": out})
+        assert run_cli("parse", cfg) == 0
+        expected = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "parse.json.tmp").mkdir()
+        (out / "parsed.jsonl.tmp").write_bytes(b"junk")
+        assert run_cli("parse", cfg) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert files == {**expected, "parsed.jsonl.tmp": b"junk"}
+        assert (out / "parse.json.tmp").is_dir()
 
     def test_failed_rerun_leaves_no_stale_report(self, tmp_path, corpus_dir, monkeypatch):
         out = tmp_path / "out"

@@ -1,9 +1,11 @@
 """Modules under ``src/icdkit`` use every name they import, reference every private
-helper they define, build dictionary entries in one function and raise only the
-toolkit's error classes."""
+helper they define, build dictionary entries in one function, write files in
+one function and raise only the toolkit's error classes."""
 
 import ast
+import re
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -103,25 +105,33 @@ def test_every_class_member_is_read_outside_the_tests():
 DICTIONARY_TYPES = {"IcdDictionary", "DictEntry"}
 
 
-def dictionary_builders(sources: dict[str, str]) -> list[str]:
+def callers(sources: dict[str, str], matches: Callable[[ast.Call], bool]) -> list[str]:
     """``module.function`` for each innermost function of ``sources`` (module
-    name to source) that calls a name of ``DICTIONARY_TYPES``, bare or as an
-    attribute; a call outside any function is placed in ``module.<module>``."""
+    name to source) that makes a call ``matches`` accepts; a call outside any
+    function is placed in ``module.<module>``."""
     found = set()
 
     def visit(node: ast.AST, module: str, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        elif isinstance(node, ast.Call):
-            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-            if callee in DICTIONARY_TYPES:
-                found.add(f"{module}.{where}")
+        elif isinstance(node, ast.Call) and matches(node):
+            found.add(f"{module}.{where}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
     for module, source in sources.items():
         visit(ast.parse(source), module, "<module>")
     return sorted(found)
+
+
+def callee(call: ast.Call) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+def dictionary_builders(sources: dict[str, str]) -> list[str]:
+    """:func:`callers` of a name of ``DICTIONARY_TYPES``."""
+    return callers(sources, lambda call: callee(call) in DICTIONARY_TYPES)
 
 
 def test_finds_a_second_dictionary_builder():
@@ -136,6 +146,47 @@ def test_only_load_dictionary_builds_a_dictionary():
     # one builder: an entry's id is its position in the one loop that makes entries
     assert dictionary_builders({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == [
         "codes.load_dictionary"]
+
+
+# an open mode that writes, "r+" too
+WRITE_MODE = re.compile(r"[rbt]*[wxa+][rwxabt+]*")
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` is ``os.replace`` or ``os.rename``, a ``write_text``
+    or ``write_bytes`` method, or an ``open``, bare or a method such as
+    ``Path.open``, given a string literal that is a mode that writes;
+    ``os.fdopen``, which opens a descriptor such as a pipe's, is none of them."""
+    name = callee(call)
+    if name in ("replace", "rename"):
+        return isinstance(call.func, ast.Attribute) and getattr(call.func.value, "id", None) == "os"
+    if name == "open":
+        return any(isinstance(arg, ast.Constant) and isinstance(arg.value, str) and WRITE_MODE.fullmatch(arg.value)
+                   for arg in [*call.args, *(kw.value for kw in call.keywords if kw.arg == "mode")])
+    return name in ("write_text", "write_bytes")
+
+
+def file_writers(sources: dict[str, str]) -> list[str]:
+    """:func:`callers` of a call that :func:`writes_a_file`."""
+    return callers(sources, writes_a_file)
+
+
+def test_finds_a_second_file_writer():
+    sources = {"a": ("def save(p, t):\n    os.replace(t, p)\n"
+                     "def dump(p):\n    def inner():\n        p.write_bytes(b'')\n    return inner\n"
+                     "def log(p):\n    with open(p, mode='a', encoding='utf-8') as f:\n        pass\n"
+                     "def read(p, s, t):\n    return (open(p), open(p, 'rb'), open('data.tsv'), p.open('r'),\n"
+                     "            os.open(p, 0), p.replace('.', '_'), s.replace(p, t))\n"),
+               "b": ("class C:\n    def make(self, p):\n        return p.open('w')\n"
+                     "def create(p):\n    return io.open(p, 'xb')\ndef move(a, b):\n    os.rename(a, b)\n"
+                     "def note(p):\n    p.write_text('')\nopen('x', 'r+b')\n")}
+    assert file_writers(sources) == ["a.inner", "a.log", "a.save", "b.<module>", "b.create", "b.make", "b.move",
+                                     "b.note"]
+
+
+def test_only_write_file_writes_a_file():
+    # one writer: every file appears whole by a rename from a temp of its own
+    assert file_writers({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == ["jsonl.write_file"]
 
 
 # input faults, config faults and bad library arguments; see icdkit.errors

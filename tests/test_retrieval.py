@@ -875,6 +875,36 @@ class TestEmbeddingsCache:
         assert len(parses) == 5
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
+    def test_a_cold_save_removes_the_temps_a_killed_writer_left(self, tmp_path, monkeypatch, parses):
+        make_demo(tmp_path, monkeypatch)
+        expected = self.run(tmp_path, "retrieve")
+        shutil.rmtree(tmp_path / "out")
+        shutil.rmtree(tmp_path / CACHE_DIR)
+        (tmp_path / CACHE_DIR).mkdir()
+        killed = [f"embeddings.jsonl.{'0' * 64}.npy.{'1' * 16}.tmp", f"embeddings.jsonl.stat.{'2' * 16}.tmp"]
+        other = f"embeddings.jsonl.old.{'0' * 64}.npy.{'1' * 16}.tmp"  # another file's, maybe live
+        for name in [*killed, other]:
+            (tmp_path / CACHE_DIR / name).write_bytes(b"\x93NUMPY")
+        assert self.run(tmp_path, "retrieve") == expected
+        assert len(parses) == 2
+        (entry,) = [name for name in self.entries(tmp_path) if name != other]
+        assert entry.endswith(".npy") and other in self.entries(tmp_path)
+
+    def test_a_save_whose_temp_another_save_removed_is_dropped(self, tmp_path, monkeypatch, parses):
+        make_demo(tmp_path, monkeypatch)
+        expected = self.run(tmp_path, "retrieve")
+        shutil.rmtree(tmp_path / CACHE_DIR)
+        write_array = np.lib.format.write_array
+
+        def removed_meanwhile(handle, array, allow_pickle):
+            write_array(handle, array, allow_pickle=allow_pickle)
+            os.unlink(handle.name)
+
+        monkeypatch.setattr(np.lib.format, "write_array", removed_meanwhile)
+        assert self.run(tmp_path, "retrieve") == expected
+        assert not list((tmp_path / CACHE_DIR).iterdir())  # no entry, and no record for one
+        assert len(parses) == 2
+
     def test_unwritable_cache_leaves_nothing_and_changes_nothing(self, tmp_path, monkeypatch, parses):
         make_demo(tmp_path, monkeypatch)
         expected = self.run(tmp_path, "retrieve")
