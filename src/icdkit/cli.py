@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from icdkit import __version__
-from icdkit.coding import evaluate_coding, read_code_predictions
+from icdkit.coding import evaluate_coding, import_selection, read_code_predictions
 from icdkit.codes import IcdDictionary, load_dictionary, parse_code, read_dictionary_tsv
 from icdkit.corpus import check_annotators, corpus_stats, iaa_ratio, pairwise_jaccard, read_corpus_dir
 from icdkit.diagnosis import (
@@ -176,7 +176,6 @@ def _candidates(row: dict) -> list[dict]:
 
 
 def _resolve(by_mention: Mapping[str, list], selection: Mapping) -> dict:
-    from icdkit.retrieval import import_selection
     return {"mention_id": selection["mention_id"], "code": import_selection(by_mention, selection)}
 
 
@@ -246,20 +245,19 @@ def cmd_index(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 
 def _run_retrieval(config: RunConfig) -> tuple[IcdDictionary, list[tuple[dict, RankedCandidates]]]:
-    from icdkit.retrieval import retrieve
+    from icdkit.retrieval import retrieve_batch
     dictionary, index = _load_index(config)
     queries_path = config.path("queries")
     queries = read_unique(queries_path, lambda row: _query_row(row, index.dim), "mention_id")
-    ranked = []
-    for query in queries:
-        cands = retrieve(index, query["vector"], config.options.k, query_id=query["mention_id"])
-        # no JSON number holds an infinity, so no report could be read back
+    ranked = retrieve_batch(index, [query["vector"] for query in queries], config.options.k,
+                            [query["mention_id"] for query in queries])
+    # no JSON number holds an infinity, so no report could be read back
+    for cands in ranked:
         for hit in cands.hits:
             if not math.isfinite(hit.distance):
                 raise InvalidFormatError(f"{queries_path}: mention_id {cands.query_id!r}: "
                                          f"distance to entry {hit.entry_id} overflows a double")
-        ranked.append((query, cands))
-    return dictionary, ranked
+    return dictionary, list(zip(queries, ranked))
 
 
 def cmd_retrieve(config: RunConfig) -> tuple[dict, dict[str, str]]:

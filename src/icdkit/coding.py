@@ -6,6 +6,9 @@ sets before confusion counts are taken; micro metrics then sum the counts
 across records. The relaxed variant truncates every code to its disease
 group first and deduplicates after truncation, so two subcodes of one
 group never count twice.
+
+A reranker's pick comes back through :func:`import_selection`, which
+resolves it to the code of the candidate it names.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from icdkit.codes import IcdCode, parse_code, truncate_to_group
+from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_grouped, typed_field
 from icdkit.metrics import ConfusionCounts, MetricsReport, micro_report
 
@@ -64,3 +68,16 @@ def read_code_predictions(path: str | Path) -> dict[str, list[IcdCode]]:
     ``{"doc_id": ..., "codes": [...]}``. Duplicate rows for one record
     are concatenated (aggregation dedupes anyway)."""
     return read_grouped(path, "doc_id", lambda row: list(map(parse_code, typed_field(row, "codes", list))))
+
+
+def import_selection(candidates: Mapping[str, Sequence[Mapping]], selection: Mapping) -> IcdCode:
+    """The code of the candidate ``selection`` names, by mention id and 1-based rank, among
+    ``candidates`` (mention id to ranked list); an unknown mention or a rank off the list raises."""
+    rank = typed_field(selection, "selected_rank", int)
+    mention_id = selection["mention_id"]
+    if mention_id not in candidates:
+        raise InvalidFormatError(f"selection references unknown mention_id {mention_id!r}")
+    ranked = candidates[mention_id]
+    if rank < 1 or rank > len(ranked):
+        raise InvalidFormatError(f"{mention_id}: selected rank {rank} of {len(ranked)} candidates")
+    return parse_code(ranked[rank - 1]["code"])

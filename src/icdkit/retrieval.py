@@ -2,17 +2,19 @@
 
 The index holds one embedding per dictionary entry and answers exact
 Euclidean top-k queries, ties broken by the lower entry id so every
-ranking is reproducible. A block of up to ``BATCH`` queries costs one
-GEMM, plus O(k·d) per query: the expansion ‖x‖² − 2x·q + ‖q‖² (as in
-FAISS ``IndexFlatL2``), with the row norms computed once at build, gives
-every row an approximate squared distance to every query of the block in
-one matrix product, whose peak is about 40 MB per 256 queries at 20 060
-rows. Only rows within a proven rounding margin of a query's k-th
-smallest approximation, about k of them, are rescored with the direct
-``Σ(x − q)²`` and ranked. The margin bounds the rounding error of both
-formulas, so the shortlist always holds the true top k, and ids, tie
-order and distance bits equal a full scan with the direct formula; an
-overflow makes the margin infinite, which degrades to that full scan.
+ranking is reproducible. ``retrieve_batch`` checks each block of up to
+``BATCH`` queries and gives every row of it an approximate squared
+distance to every index row in one GEMM: the expansion ‖x‖² − 2x·q + ‖q‖²
+(as in FAISS ``IndexFlatL2``), with the row norms computed once at build,
+whose peak is about 40 MB per 256 queries at 20 060 rows. It then calls
+``retrieve`` once per row, which costs O(k·d) more: only rows within a
+proven rounding margin of the query's k-th smallest approximation, about
+k of them, are rescored with the direct ``Σ(x − q)²`` and ranked.
+``retrieve`` called alone ranks a one-row block the same way. The margin
+bounds the rounding error of both formulas, so the shortlist always holds
+the true top k, and ids, tie order and distance bits equal a full scan
+with the direct formula; an overflow makes the margin infinite, which
+degrades to that full scan.
 """
 
 from __future__ import annotations
@@ -26,15 +28,21 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import orjson
 
 from icdkit import jsonl
-from icdkit.codes import IcdCode, IcdDictionary, parse_code, truncate_to_group
+from icdkit.codes import IcdCode, IcdDictionary, truncate_to_group
+from icdkit.coding import import_selection
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import parse_json, read_lines, typed_field, write_file
+
+# import_selection, in the numpy-free coding module, is kept here under its old name
+__all__ = ["BATCH", "CACHE_DIR", "CAN_SPLIT", "RACY_NS", "SPLIT_BYTES", "EmbeddingIndex", "Hit", "RankedCandidates",
+           "acc_at_k", "as_vector", "build_index", "export_candidates", "import_selection", "load_embeddings_jsonl",
+           "load_index", "matrix_index", "retrieve", "retrieve_batch"]
 
 # An embeddings file this large is parsed by two processes: from here up the
 # split was no slower than a one-process read even with the other CPU busy.
@@ -97,16 +105,17 @@ class EmbeddingIndex:
             raise InvalidFormatError("embedding matrix must be 2-D")
         if len(codes) != matrix.shape[0]:
             raise InvalidFormatError(f"{len(codes)} codes for {matrix.shape[0]} vectors")
-        if not np.isfinite(matrix).all():
-            raise InvalidFormatError("embedding matrix contains non-finite values")
-        self.codes: tuple[IcdCode, ...] = tuple(codes)
-        self.matrix = matrix
-        self.matrix.setflags(write=False)
         # for retrieve's shortlist; einsum makes no N×d temporary, and an
         # overflow to inf here makes retrieve's margin infinite
         with np.errstate(over="ignore"):
             self.sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+        # a NaN or inf component makes its row's norm NaN or inf: only then scan the matrix
+        if not np.isfinite(self.sq_norms).all() and not np.isfinite(matrix).all():
+            raise InvalidFormatError("embedding matrix contains non-finite values")
         self.sq_norms.setflags(write=False)
+        self.codes: tuple[IcdCode, ...] = tuple(codes)
+        self.matrix = matrix
+        self.matrix.setflags(write=False)
         self.max_norm = float(np.sqrt(self.sq_norms.max())) if len(matrix) else 0.0
 
     @property
@@ -149,14 +158,72 @@ def build_index(dictionary: IcdDictionary, vectors: Iterable[tuple[int, Sequence
     return EmbeddingIndex([e.code for e in dictionary], rows)
 
 
+def _approximate(
+    index: EmbeddingIndex, queries: Sequence[Sequence[float]] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block of ``queries`` as checked float64 rows, each row's approximate squared
+    distance to every index row, from one GEMM, and each row's shortlist margin eps."""
+    block = np.asarray(queries, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] != index.dim:
+        raise InvalidFormatError(f"query dim {block.shape[1:]} does not match index dim {index.dim}")
+    if not np.isfinite(block).all():
+        raise InvalidFormatError("query contains non-finite values")
+    # approx = ‖x‖² − 2x·q + ‖q‖², the shortlist that retrieve rescores exactly.
+    # Margin, with u = 2**-53, r = max‖x‖ + ‖q‖ and D the true squared
+    # distance: a sum of d terms, in any order (pairwise, blocked BLAS),
+    # is off by at most about d·u·Σ|term| (Higham 2002, §3.1).
+    # - approx: its three sums' |terms| add to at most r², and its two
+    #   additions each add u·r², so |approx − D| ≤ (d+2)·u·r².
+    # - exact, the direct Σ(x − q)²: one rounding per difference and per
+    #   square, then a sum of d non-negative terms: |exact − D| ≤ (d+2)·u·r².
+    # So |approx − exact| ≤ 2(d+2)·u·r²; eps takes c = 4, which covers
+    # second-order terms, r from rounded norms and the rounding of eps
+    # and thr. A product that underflows is also off by up to 2**-1075
+    # (sums that underflow are exact); a row's approx and exact take 5d
+    # products (2x·q counted twice), under the absolute 4(d+2)·2**-1074.
+    # Overflow: approx's intermediates stay near r², a quarter of (2r)²,
+    # so any overflow makes eps inf (or retrieve's thr NaN).
+    with np.errstate(over="ignore", invalid="ignore"):
+        qq = np.einsum("ij,ij->i", block, block)
+        approx = block @ index.matrix.T  # in place below: one block-sized array
+        approx *= -2.0
+        approx += index.sq_norms
+        approx += qq[:, None]
+        two_r = 2.0 * (index.max_norm + np.sqrt(qq))
+        eps = (index.dim + 2) * (2.0**-53 * (two_r * two_r) + 2.0**-1072)
+    return block, approx, eps
+
+
 def retrieve(
-    index: EmbeddingIndex, query: Sequence[float], k: int, query_id: str = ""
+    index: EmbeddingIndex, query: Sequence[float], k: int, query_id: str = "", *,
+    _approx: tuple[np.ndarray, np.float64] | None = None,
 ) -> RankedCandidates:
     """Exact Euclidean top-k over the index, ties broken by lower entry id.
 
     Returns at most ``k`` hits with non-decreasing distances.
     """
-    return retrieve_batch(index, [query], k, [query_id])[0]
+    # retrieve_batch passes a checked row with its approximations and eps
+    if _approx is None:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        block, approx, eps = _approximate(index, [query])
+        query, _approx = block[0], (approx[0], eps[0])
+    approx, eps = _approx
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k < len(index):
+            # The k rows with approx <= T have exact <= T + eps, so every row
+            # of the exact top k has approx <= T + 2·eps and is kept. An inf
+            # eps or a NaN thr keeps every row, NaN rows too: a full rescan.
+            thr = np.partition(approx, k - 1)[k - 1] + 2.0 * eps
+            cand = np.flatnonzero(~(approx > thr))
+        else:
+            cand = np.arange(len(index))
+        diff = index.matrix[cand] - query
+        dist_sq = (diff * diff).sum(axis=1)
+    # cand ascends by entry id, so a stable argsort keeps id order among exact ties
+    order = np.argsort(dist_sq, kind="stable")[:k]
+    hits = tuple(Hit(int(cand[i]), index.codes[cand[i]], float(np.sqrt(dist_sq[i]))) for i in order)
+    return RankedCandidates(query_id=query_id, hits=hits)
 
 
 def retrieve_batch(
@@ -164,8 +231,9 @@ def retrieve_batch(
     query_ids: Sequence[str],
 ) -> list[RankedCandidates]:
     """:func:`retrieve` for each of ``queries`` in order, the i-th with query
-    id ``query_ids[i]``. Each block of ``BATCH`` queries takes its
-    approximations from one GEMM; every query's hits are those it has alone.
+    id ``query_ids[i]``. Each block of ``BATCH`` queries is checked and takes
+    its approximations from one GEMM, then each of its rows is one
+    :func:`retrieve` call; every query's hits are those it has alone.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -173,51 +241,9 @@ def retrieve_batch(
         raise ValueError(f"{len(query_ids)} query ids for {len(queries)} queries")
     ranked = []
     for start in range(0, len(queries), BATCH):
-        block = np.asarray(queries[start:start + BATCH], dtype=np.float64)
-        if block.ndim != 2 or block.shape[1] != index.dim:
-            raise InvalidFormatError(f"query dim {block.shape[1:]} does not match index dim {index.dim}")
-        if not np.isfinite(block).all():
-            raise InvalidFormatError("query contains non-finite values")
-        if k < len(index):
-            # Shortlist by approx = ‖x‖² − 2x·q + ‖q‖², then rescore it exactly.
-            # Margin, with u = 2**-53, r = max‖x‖ + ‖q‖ and D the true squared
-            # distance: a sum of d terms, in any order (pairwise, blocked BLAS),
-            # is off by at most about d·u·Σ|term| (Higham 2002, §3.1).
-            # - approx: its three sums' |terms| add to at most r², and its two
-            #   additions each add u·r², so |approx − D| ≤ (d+2)·u·r².
-            # - exact, the direct Σ(x − q)²: one rounding per difference and per
-            #   square, then a sum of d non-negative terms: |exact − D| ≤ (d+2)·u·r².
-            # So |approx − exact| ≤ 2(d+2)·u·r²; eps takes c = 4, which covers
-            # second-order terms, r from rounded norms and the rounding of eps
-            # and thr. A product that underflows is also off by up to 2**-1075
-            # (sums that underflow are exact); a row's approx and exact take 5d
-            # products (2x·q counted twice), under the absolute 4(d+2)·2**-1074.
-            # The k rows with approx <= T have exact <= T + eps, so every row of
-            # the exact top k has approx <= T + 2·eps and is kept.
-            # Overflow: approx's intermediates stay near r², a quarter of (2r)²,
-            # so any overflow makes eps inf (or thr NaN), and ~(approx > thr)
-            # then keeps every row, NaN rows too: a full rescan.
-            with np.errstate(over="ignore", invalid="ignore"):
-                qq = np.einsum("ij,ij->i", block, block)
-                approx = block @ index.matrix.T  # in place below: one block-sized array
-                approx *= -2.0
-                approx += index.sq_norms
-                approx += qq[:, None]
-                two_r = 2.0 * (index.max_norm + np.sqrt(qq))
-                eps = (index.dim + 2) * (2.0**-53 * (two_r * two_r) + 2.0**-1072)
-        for row, q in enumerate(block):
-            with np.errstate(over="ignore", invalid="ignore"):
-                if k < len(index):
-                    thr = np.partition(approx[row], k - 1)[k - 1] + 2.0 * eps[row]
-                    cand = np.flatnonzero(~(approx[row] > thr))
-                else:
-                    cand = np.arange(len(index))
-                diff = index.matrix[cand] - q
-                dist_sq = (diff * diff).sum(axis=1)
-            # cand ascends by entry id, so a stable argsort keeps id order among exact ties
-            order = np.argsort(dist_sq, kind="stable")[:k]
-            hits = tuple(Hit(int(cand[i]), index.codes[cand[i]], float(np.sqrt(dist_sq[i]))) for i in order)
-            ranked.append(RankedCandidates(query_id=query_ids[start + row], hits=hits))
+        block, approx, eps = _approximate(index, queries[start:start + BATCH])
+        ranked += [retrieve(index, query, k, query_ids[start + row], _approx=(approx[row], eps[row]))
+                   for row, query in enumerate(block)]
     return ranked
 
 
@@ -486,16 +512,3 @@ def export_candidates(
             for rank, hit in enumerate(cands.hits, start=1)
         ],
     }
-
-
-def import_selection(candidates: Mapping[str, Sequence[Mapping]], selection: Mapping) -> IcdCode:
-    """The code of the candidate ``selection`` names, by mention id and 1-based rank, among
-    ``candidates`` (mention id to ranked list); an unknown mention or a rank off the list raises."""
-    rank = typed_field(selection, "selected_rank", int)
-    mention_id = selection["mention_id"]
-    if mention_id not in candidates:
-        raise InvalidFormatError(f"selection references unknown mention_id {mention_id!r}")
-    ranked = candidates[mention_id]
-    if rank < 1 or rank > len(ranked):
-        raise InvalidFormatError(f"{mention_id}: selected rank {rank} of {len(ranked)} candidates")
-    return parse_code(ranked[rank - 1]["code"])

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import errno
+import inspect
 import io
 import json
 import os
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdkit import __version__, cli, diagnosis
+from icdkit import __version__, cli, coding, diagnosis, retrieval
 from icdkit.cli import RunConfig, main
 from icdkit.errors import ConfigError
 from icdkit.corpus import read_corpus_dir
 
 from conftest import write_config
+from test_golden import GOLDEN, make_demo, run_digests
 
 
 def run_cli(command, config_path):
@@ -158,13 +160,21 @@ class TestStats:
         assert [Path(dst).name for dst in calls] == ["parsed.jsonl", "doc_codes.jsonl"]
         assert not (out / "parse.json").exists()
 
-    def test_cli_import_leaves_numpy_unloaded(self):
-        # only the retrieval steps pay for numpy
-        code = "import icdkit.cli, sys; assert 'numpy' not in sys.modules"
+    def test_cli_import_leaves_numpy_unloaded(self, tmp_path, monkeypatch):
+        # only the steps that load embeddings pay for numpy; import-selection
+        # reads candidates, with or without a selection file
+        make_demo(tmp_path, monkeypatch)
+        assert main(["export-candidates", "--config", str(tmp_path / "export-candidates.json")]) == 0
+        code = ("import icdkit.cli, sys; assert 'numpy' not in sys.modules\n"
+                "for name in sys.argv[1:]:\n"
+                "    assert icdkit.cli.main(['import-selection', '--config', name]) == 0, name\n"
+                "assert 'numpy' not in sys.modules")
+        configs = [str(tmp_path / f"{name}.json") for name in ("import-selection", "import-selection-reranked")]
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        result = subprocess.run([sys.executable, "-c", code, *configs], capture_output=True, text=True,
                                 env=env, timeout=60)
         assert result.returncode == 0, result.stderr
+        assert (tmp_path / "out" / "import-selection-reranked" / "resolved.jsonl").exists()
 
 
 class TestParseAndEvalCoding:
@@ -430,6 +440,44 @@ class TestRetrievalCommands:
         assert run_cli("import-selection", cfg) == 3
         assert capsys.readouterr().err == f"error: {selection.resolve()}:2: {message}\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestLinkingBlocks:
+    """``retrieve`` and ``export-candidates`` rank their queries in blocks
+    (``retrieval.BATCH``), each row by one ``retrieval.retrieve`` call, which
+    perfbench/tracer.py wraps by name to count queries."""
+
+    @staticmethod
+    def mention_ids(root):
+        lines = (root / "queries.jsonl").read_text(encoding="utf-8").splitlines()
+        return [json.loads(line)["mention_id"] for line in lines]
+
+    def test_one_retrieve_call_per_query(self, tmp_path, monkeypatch):
+        make_demo(tmp_path, monkeypatch)
+        real, calls = retrieval.retrieve, []
+        signature = inspect.signature(real)
+
+        def counted(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments["query_id"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "retrieve", counted)
+        assert run_digests(tmp_path) == GOLDEN
+        # retrieve, then export-candidates, each query once in file order
+        assert calls == self.mention_ids(tmp_path) * 2
+        assert retrieval.import_selection is coding.import_selection
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_blocks_that_end_part_full_keep_the_golden_outputs(self, tmp_path, monkeypatch, batch):
+        make_demo(tmp_path, monkeypatch)
+        monkeypatch.setattr(retrieval, "BATCH", batch)
+        real, blocks = retrieval._approximate, []
+        monkeypatch.setattr(retrieval, "_approximate", lambda index, queries: blocks.append(len(queries))
+                            or real(index, queries))
+        assert run_digests(tmp_path) == GOLDEN
+        n = len(self.mention_ids(tmp_path))
+        assert n > batch and n % batch
+        assert blocks == ([batch] * (n // batch) + [n % batch]) * 2
 
 
 class TestEvalNer:

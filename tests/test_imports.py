@@ -3,6 +3,8 @@ helper they define, build dictionary entries in one function, write files in
 one function and raise only the toolkit's error classes."""
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 from typing import Callable
@@ -146,6 +148,17 @@ def test_only_load_dictionary_builds_a_dictionary():
     # one builder: an entry's id is its position in the one loop that makes entries
     assert dictionary_builders({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == [
         "codes.load_dictionary"]
+
+
+def test_every_tracer_target_resolves():
+    # perfbench/tracer.py wraps each (module, function) of TARGETS by name, so
+    # a function that moves or is renamed breaks only a traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    assert [f"{module}.{name}" for module, name, _, _ in tracer.TARGETS
+            if not callable(getattr(importlib.import_module(module), name, None))] == []
 
 
 # an open mode that writes, "r+" too

@@ -139,6 +139,32 @@ class TestBuildIndex:
         with pytest.raises(InvalidFormatError, match="^embedding matrix contains non-finite values$"):
             build_index(tiny_dictionary(2), {0: [0.0], 1: [float("nan")]}.items())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_component_rejected_by_every_route(self, tmp_path, bad):
+        rows = [[1.0, 2.0], [3.0, 4.0], [5.0, bad]]
+        message = "embedding matrix contains non-finite values"
+        with pytest.raises(InvalidFormatError, match=f"^{message}$"):
+            code_index(rows)
+        with pytest.raises(InvalidFormatError, match=f"^{message}$"):
+            build_index(tiny_dictionary(3), enumerate(rows))
+        np.save(tmp_path / "e.npy", np.array(rows))
+        with pytest.raises(InvalidFormatError, match=f": {message}$"):
+            retrieval.matrix_index(tmp_path / "e.npy", tiny_dictionary(3))
+
+    def test_finite_rows_whose_norms_overflow_are_accepted(self, tmp_path):
+        # ‖x‖² overflows to inf on every row, yet each component and each
+        # distance is finite: the index is valid and ranks by a full rescan
+        rng = random.Random(11)
+        rows = [[1e200] + [rng.gauss(0, 1) for _ in range(3)] for _ in range(5)]
+        queries = [[1e200] + [rng.gauss(0, 1) for _ in range(3)] for _ in range(4)] + rows[:2]
+        np.save(tmp_path / "e.npy", np.array(rows))
+        dictionary = tiny_dictionary(5)
+        for index in (code_index(rows), build_index(dictionary, enumerate(rows)),
+                      retrieval.matrix_index(tmp_path / "e.npy", dictionary)):
+            assert np.isinf(index.sq_norms).all()
+            for k in (1, 3):
+                assert_matches_scan(index, queries, k)
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidFormatError, match="^entry 1: expected dim 2, got 1$"):
             build_index(tiny_dictionary(2), {0: [0.0, 1.0], 1: [1.0]}.items())
