@@ -1,9 +1,6 @@
 """The one reader of JSONL, TSV and BRAT ``.ann`` line files, the JSONL
 renderer, and :func:`write_file`, the one writer of every report, artifact and cache file.
 
-:func:`read_lines` also reads a byte range, such as a half of a split
-embeddings load: it drops a BOM only at byte 0 and numbers lines from its start.
-
 Every JSON input is parsed by ``orjson.loads``, which is strict: ``NaN``,
 ``Infinity``, a lone surrogate escape and a number that overflows a double
 are errors, and an integer beyond 64 bits is read as a float; a value
@@ -53,23 +50,14 @@ def frame_lines(lines: Iterable[str], where: str | Path, row_fn: Callable[[str],
     return values
 
 
-def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool = False,
-               start: int = 0, stop: int | None = None) -> list[T]:
-    """:func:`frame_lines` over a UTF-8 file's bytes ``start:stop``, to its
-    end if ``stop`` is None; ``start`` begins a line, numbered 1. A BOM is
-    dropped at byte 0 only. A line ends at CRLF, CR or LF and reaches
-    ``row_fn`` with that break as ``\\n``. Bytes that are not UTF-8 are an
-    error at their line of the whole file."""
-    with open(path, "rb") as handle:
-        if start:  # a pipe cannot seek, even to 0
-            handle.seek(start)
-        # read to the end, the file streams; a range is read whole
-        stream = handle if stop is None else io.BytesIO(handle.read(stop - start))
-        with io.TextIOWrapper(stream, encoding="utf-8" if start else "utf-8-sig", newline=None) as text:
-            try:
-                return frame_lines(text, path, row_fn, comments)
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(path, start, stop) from exc
+def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool = False) -> list[T]:
+    """:func:`frame_lines` over a UTF-8 file, streamed, one leading BOM dropped. A line ends at CRLF, CR or LF
+    and reaches ``row_fn`` with that break as ``\\n``; bytes that are not UTF-8 are an error at their line."""
+    with open(path, "rb") as handle, io.TextIOWrapper(handle, encoding="utf-8-sig", newline=None) as text:
+        try:
+            return frame_lines(text, path, row_fn, comments)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
 
 
 def _occurrences(data: str, item: str, limit: int) -> int:
@@ -94,16 +82,16 @@ def read_text(path: str | Path, encoding: str = "utf-8-sig", newline: str | None
         raise _not_utf8(path) from exc
 
 
-def _not_utf8(path: str | Path, start: int = 0, stop: int | None = None) -> InvalidFormatError:
+def _not_utf8(path: str | Path) -> InvalidFormatError:
     # decoded again at once: the stream decoder's offsets count from its 8 KB chunk
     data = Path(path).read_bytes()
     try:
-        data[start:stop].decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[:start + exc.start]  # a line ends at CRLF, CR or LF
+        head = data[:exc.start]  # a line ends at CRLF, CR or LF
         lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         return InvalidFormatError(f"{path}:{lineno}: not UTF-8: {exc.reason} "
-                                  f"(byte 0x{data[len(head)]:02x} at offset {len(head)})")
+                                  f"(byte 0x{data[exc.start]:02x} at offset {exc.start})")
     return InvalidFormatError(f"{path}: not UTF-8")
 
 

@@ -20,6 +20,8 @@ degrades to that full scan.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import os
 import pickle
 import re
@@ -28,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import orjson
@@ -44,11 +46,8 @@ __all__ = ["BATCH", "CACHE_DIR", "CAN_SPLIT", "RACY_NS", "SPLIT_BYTES", "Embeddi
            "acc_at_k", "as_vector", "build_index", "export_candidates", "import_selection", "load_embeddings_jsonl",
            "load_index", "matrix_index", "retrieve", "retrieve_batch"]
 
-# An embeddings file this large is parsed by two processes: from here up the
-# split was no slower than a one-process read even with the other CPU busy.
-# Timed on 2 CPUs (scripts/time_split_load.py; BENCH_split_embeddings.json,
-# "split_floor"): with the other CPU free it takes 0.64-0.70 of the time from
-# 8 MiB up; with it busy, 1.06-1.14 at 8-24 MiB, 1.0 at 32 and 0.94 at 64 MiB.
+# An embeddings file this large is parsed by two processes: on 2 CPUs, from 16 MiB up, the split takes
+# 0.6-0.7 of a one-process read with the other CPU free, 1.0-1.1 with it busy (scripts/time_split_load.py).
 SPLIT_BYTES = 32 * 2**20
 # Whether a file may be split at all. CPython 3.12 deprecates os.fork in a
 # process with more than one thread, and importing numpy starts OpenBLAS's
@@ -296,16 +295,16 @@ def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
     """Read ``{"id": int, "vector": [floats]}`` rows from a JSONL file.
 
     Where ``CAN_SPLIT``, a file of at least ``SPLIT_BYTES`` is parsed by two
-    processes: this one reads up to the first LF at or after half its bytes,
-    and a forked worker reads the rest, each half by :func:`read_lines`, and
-    pickles its rows to this one through a pipe. On any fault (a bad row in
-    either half, a lost worker or a stream it cut short, no pipe or process
-    to be had) the whole file is read again in this process, so the pairs,
-    their float bits and the error raised are those of a one-process read.
-    While SIGCHLD is ignored, every file is read in one process.
+    processes, each streaming it whole through :func:`read_lines`: this one
+    parses the even non-blank rows and a forked worker the odd ones, which
+    it pickles to this one through a pipe. On any fault (a bad row in either
+    share, a lost worker or a stream it cut short, no pipe or process to be
+    had) the whole file is read again in this process, so the pairs, their
+    float bits and the error raised are those of a one-process read. While
+    SIGCHLD is ignored, every file is read in one process.
     """
-    mid = _split_point(path)
-    if mid is None:
+    # an ignored SIGCHLD (inherited across exec) has the kernel reap a worker before it can be waited for
+    if not CAN_SPLIT or signal.getsignal(signal.SIGCHLD) is signal.SIG_IGN or os.path.getsize(path) < SPLIT_BYTES:
         return read_lines(path, _embedding_row)
     pid = rows = None
     try:  # no pipe or process to be had reads again below, like a bad row
@@ -315,12 +314,14 @@ def load_embeddings_jsonl(path: str | Path) -> list[tuple[int, np.ndarray]]:
             if pid == 0:
                 try:  # the worker never returns into its caller's code
                     pipe.close()
-                    pickle.dump(read_lines(path, _embedding_row, start=mid), sink, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(read_lines(path, _every_other(1))[1::2], sink, pickle.HIGHEST_PROTOCOL)
                     sink.close()  # os._exit flushes no buffer
                 finally:
                     os._exit(0)
             sink.close()  # so a worker that dies ends the receive
-            rows = read_lines(path, _embedding_row, stop=mid) + pickle.load(pipe)
+            evens = read_lines(path, _every_other(0))
+            evens[1::2] = pickle.load(pipe)  # a short stream fails here
+            rows = evens
     except Exception:
         pass  # an interrupt or exit is never retried
     finally:
@@ -336,23 +337,10 @@ def _embedding_row(line: str) -> tuple[int, np.ndarray]:
     return typed_field(row, "id", int), as_vector(row["vector"])
 
 
-def _split_point(path: str | Path) -> int | None:
-    """The offset after the first LF at or after half the file's bytes, or
-    None to read the file in one process: not ``CAN_SPLIT``, SIGCHLD is
-    ignored, the file is smaller than ``SPLIT_BYTES``, or no byte follows
-    such an LF."""
-    # an ignored SIGCHLD (inherited across exec) has the kernel reap the
-    # worker itself, so its pid could be neither waited for nor killed
-    if not CAN_SPLIT or signal.getsignal(signal.SIGCHLD) is signal.SIG_IGN:
-        return None
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        if size < SPLIT_BYTES:
-            return None
-        handle.seek(size // 2)
-        handle.readline()
-        mid = handle.tell()
-    return mid if mid < size else None
+def _every_other(first: int) -> Callable[[str], tuple[int, np.ndarray] | None]:
+    """:func:`_embedding_row` of non-blank rows ``first``, ``first + 2``, ..., None for the others."""
+    rows = itertools.count(-first)
+    return lambda line: None if next(rows) % 2 else _embedding_row(line)
 
 
 def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
@@ -412,20 +400,26 @@ def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
 
 def matrix_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
     """The index of ``dictionary`` over the ``.npy`` matrix at ``path``, row
-    *i* for entry id *i*, read whole by numpy's ``.npy`` reader, which never
-    unpickles, into an array that the index keeps without a copy. The array
-    must be 2-D, of a float dtype, with one row per entry, at least one
-    column and finite values; any other file raises
-    :class:`InvalidFormatError` naming it and what it holds.
-    """
-    try:
-        with open(path, "rb") as handle:
-            matrix = np.lib.format.read_array(handle, allow_pickle=False)
-    except ValueError as exc:  # cut short, a pickle, an object array
-        raise InvalidFormatError(f"{path}: cannot read a .npy array: {exc}") from exc
-    if matrix.ndim != 2 or matrix.dtype.kind != "f" or matrix.shape[0] != len(dictionary) or not matrix.shape[1]:
-        raise InvalidFormatError(f"{path}: expected a 2-D float array of {len(dictionary)} rows, one per "
-                                 f"dictionary entry, found {matrix.dtype} of shape {matrix.shape}")
+    *i* for entry id *i*: a finite 2-D float array with one row per entry and
+    at least one column, whose header is checked against the file's size
+    before its data is read, never unpickled, into an array the index keeps
+    without a copy. Any other file raises :class:`InvalidFormatError` naming
+    it and what it holds."""
+    with open(path, "rb") as handle:
+        try:  # read_array would allocate what any header claims before reading it
+            version = np.lib.format.read_magic(handle)
+            if version not in ((1, 0), (2, 0), (3, 0)):  # 3.0 is 2.0 with a UTF-8 header
+                raise ValueError(f"unsupported .npy format version {version}")
+            shape, fortran_order, dtype = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                                           else np.lib.format.read_array_header_2_0)(handle)
+            if os.fstat(handle.fileno()).st_size - handle.tell() != math.prod(shape) * dtype.itemsize:
+                raise ValueError(f"the bytes after the header are not those of {dtype} of shape {shape}")
+        except ValueError as exc:  # cut short, a pickle, an object array
+            raise InvalidFormatError(f"{path}: cannot read a .npy array: {exc}") from exc
+        if len(shape) != 2 or dtype.kind != "f" or shape[0] != len(dictionary) or not shape[1]:
+            raise InvalidFormatError(f"{path}: expected a 2-D float array of {len(dictionary)} rows, one per "
+                                     f"dictionary entry, found {dtype} of shape {shape}")
+        matrix = np.fromfile(handle, dtype, math.prod(shape)).reshape(shape, order="F" if fortran_order else "C")
     try:
         return EmbeddingIndex._adopt([entry.code for entry in dictionary], matrix.astype(np.float64, copy=False))
     except InvalidFormatError as exc:  # a NaN or an infinity

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from pathlib import Path
@@ -17,6 +18,13 @@ def write_embeddings_jsonl(path: Path, rows) -> None:
         for entry_id, vector in rows:
             comps = ", ".join(format(float(x), ".9g") for x in vector)
             handle.write('{"id": %d, "vector": [%s]}\n' % (int(entry_id), comps))
+
+
+def npy_header(shape):
+    """A version 1.0 ``.npy`` header that names a float64 array of ``shape``."""
+    handle = io.BytesIO()
+    np.lib.format.write_array_header_1_0(handle, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return handle.getvalue()
 
 
 def brute_force(vectors, query, k):

@@ -19,7 +19,7 @@ from icdkit.cli import RunConfig, main
 from icdkit.errors import ConfigError
 from icdkit.corpus import read_corpus_dir
 
-from conftest import write_config
+from conftest import npy_header, write_config
 from test_golden import GOLDEN, make_demo, run_digests
 
 
@@ -821,12 +821,21 @@ class TestMalformedRows:
         (np.zeros((3, 2)), "found float64 of shape (3, 2)"),
         (np.zeros((2, 0)), "found float64 of shape (2, 0)"),
         (np.array([[1.0], [2.0]], dtype=object), "cannot read a .npy array: "),
-    ], ids=["1-d", "int", "nan", "row-count", "no-columns", "object-array"])
+        # numpy would allocate the petabytes these headers claim before reading a byte
+        (npy_header((10**12, 768)) + np.zeros((2, 768)).tobytes(), "cannot read a .npy array: "),
+        (npy_header((2, 10**12)) + np.zeros((2, 768)).tobytes(), "cannot read a .npy array: "),
+        (b"\x93NUMPY\x09\x00" + npy_header((2, 1))[8:] + np.zeros((2, 1)).tobytes(),
+         "cannot read a .npy array: unsupported .npy format version (9, 0)"),
+    ], ids=["1-d", "int", "nan", "row-count", "no-columns", "object-array", "huge-header", "huge-columns",
+            "unknown-version"])
     def test_bad_npy_embeddings_exit_3_naming_file(self, tmp_path, capsys, array, found):
         paths = {"dictionary": tmp_path / "dictionary.tsv", "embeddings": tmp_path / "embeddings.npy",
                  "output_dir": tmp_path / "out"}
         paths["dictionary"].write_text("J00\tcold\nJ01\tsinusitis\n", encoding="utf-8")
-        np.save(paths["embeddings"], array, allow_pickle=array.dtype == object)
+        if isinstance(array, bytes):
+            paths["embeddings"].write_bytes(array)
+        else:
+            np.save(paths["embeddings"], array, allow_pickle=array.dtype == object)
         assert run_cli("index", write_config(tmp_path / "cfg.json", paths)) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths['embeddings'].resolve()}: ") and found in err

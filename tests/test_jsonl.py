@@ -68,35 +68,9 @@ class TestReadLines:
         # past the decoder's first 8 KB chunk, where a count of decoded lines falls behind
         path = tmp_path / "rows.txt"
         path.write_bytes(b"x\r\n" * 3000 + b"y\r" * 2000 + "анемия\n".encode("cp1251"))
-        with pytest.raises(InvalidFormatError, match=f"^{re.escape(str(path))}:5001: not UTF-8"):
+        with pytest.raises(InvalidFormatError, match=f"^{re.escape(str(path))}:5001: not UTF-8: invalid "
+                                                     r"continuation byte \(byte 0xe0 at offset 13000\)$"):
             list(read_lines(path, str.strip))
-
-    @pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
-    def test_two_ranges_read_as_the_whole_file(self, tmp_path, bom):
-        path = tmp_path / "rows.txt"
-        path.write_bytes(bom + b"a\r\n\r\nb\rc\n \t\nd\r\r\ne\rf")
-        whole = read_lines(path, str)
-        assert whole == ["a\n", "b\n", "c\n", "d\n", "e\n", "f"]
-        starts = [0, *(m.end() for m in re.finditer(rb"\r\n|\r|\n", path.read_bytes()))]
-        for mid in starts:
-            assert read_lines(path, str, stop=mid) + read_lines(path, str, start=mid) == whole
-
-    def test_bom_beginning_a_later_range_fails_its_row(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_bytes(BOM + b'{"a": 1}\r\n' + BOM + b'{"a": 2}\n')
-        assert read_lines(path, parse_json, stop=13) == [{"a": 1}]
-        with pytest.raises(InvalidFormatError, match=f"^{re.escape(str(path))}:1: byte order mark"):
-            read_lines(path, parse_json, start=13)
-
-    def test_not_utf8_in_a_range_named_at_its_line_of_the_file(self, tmp_path):
-        # the bad byte before the range is never read, nor the one after it
-        path = tmp_path / "rows.txt"
-        path.write_bytes(b"\xfe\n" + b"x\r\n" * 3 + b"y\r" * 2 + b"z\n\xff\n\xfe\n")
-        for stop in (19, None):
-            with pytest.raises(InvalidFormatError, match=f"^{re.escape(str(path))}:8: not UTF-8: "
-                                                         r"invalid start byte \(byte 0xff at offset 17\)$"):
-                read_lines(path, str.strip, start=2, stop=stop)
-        assert read_lines(path, str.strip, start=2, stop=17) == ["x", "x", "x", "y", "y", "z"]
 
     def test_comment_line_in_jsonl_is_a_data_error(self, tmp_path):
         path = tmp_path / "rows.jsonl"

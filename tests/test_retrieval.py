@@ -8,8 +8,11 @@ import math
 import os
 import pickle
 import random
+import re
 import shutil
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -38,7 +41,7 @@ from icdkit.retrieval import (
     retrieve,
     retrieve_batch,
 )
-from conftest import brute_force, write_embeddings_jsonl
+from conftest import brute_force, npy_header, write_embeddings_jsonl
 from test_golden import GOLDEN, RUNS, demo_digests, make_demo, run_digests
 
 
@@ -514,15 +517,16 @@ class TestEmbeddingFiles:
 @contextlib.contextmanager
 def split_floor(floor):
     """``retrieval.SPLIT_BYTES`` set to ``floor``; yields two lists that gain an
-    item per fork and per whole-file ``read_lines`` call of the load, the
-    one-process read; a half passes ``start`` or ``stop`` and is not counted."""
+    item per fork and per one-process read of the load, a ``read_lines`` call
+    whose row function is ``retrieval._embedding_row``; a share of the split
+    passes another row function and is not counted."""
     forks, reads = [], []
     fork, read_lines = os.fork, retrieval.read_lines
 
-    def counted_read(*args, **kwargs):
-        if not {"start", "stop"} & kwargs.keys():
+    def counted_read(path, row_fn, **kwargs):
+        if row_fn is retrieval._embedding_row:
             reads.append(1)
-        return read_lines(*args, **kwargs)
+        return read_lines(path, row_fn, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(retrieval, "SPLIT_BYTES", floor)
@@ -531,24 +535,17 @@ def split_floor(floor):
         yield forks, reads
 
 
-def splits(data):
-    """Whether a byte follows the first LF at or after half of ``data``."""
-    lf = data.find(b"\n", len(data) // 2)
-    return lf != -1 and lf + 1 < len(data)
-
-
 def loaded(path, floor):
     """The ids and ``float.hex`` components :func:`load_embeddings_jsonl`
     returns with the split floor at ``floor``, or the class and message of
-    the error it raises. It forks only where the file splits and SIGCHLD
-    is not ignored, and leaves no child process behind."""
+    the error it raises. It forks only where the file has at least ``floor``
+    bytes and SIGCHLD is not ignored, and leaves no child process behind."""
     with split_floor(floor) as (forks, _):
         try:
             result = [(i, [x.hex() for x in vector.tolist()]) for i, vector in load_embeddings_jsonl(path)]
         except InvalidFormatError as exc:
             result = type(exc), str(exc)
-    assert len(forks) == (path.stat().st_size >= floor and splits(path.read_bytes())
-                          and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN)
+    assert len(forks) == (path.stat().st_size >= floor and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return result
@@ -575,7 +572,8 @@ embedding_lines = st.one_of(
 
 @pytest.mark.skipif(not retrieval.CAN_SPLIT, reason="no file is split on this platform")
 class TestSplitLoad:
-    """A file parsed by two processes reads as one process reads it."""
+    """A file parsed by two processes, each taking every other non-blank
+    row, reads as one process reads it."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.booleans(), st.lists(st.tuples(embedding_lines, st.sampled_from(["\n", "\r\n", "\r"])),
@@ -598,19 +596,30 @@ class TestSplitLoad:
 
     @pytest.mark.parametrize("bad, message", [
         ('{"id": 21, "vector": "x"}', "vector must be a flat list of numbers"),
-        # a BOM that begins the worker's half begins no file, so it stays a character
+        # a BOM that begins no file is a character, which orjson refuses
         ('\ufeff{"id": 21, "vector": [1]}', "byte order mark (BOM) is not supported: line 1 column 1 (char 0)"),
     ], ids=["vector", "bom"])
     def test_bad_row_in_second_half_names_its_line(self, tmp_path, bad, message):
-        # CRLF, CR, LF and blank lines in the first half count toward the line;
-        # the midpoint falls in a long row, so the bad row begins the second half
-        first = (self.rows(20, ("\r\n", "\r", "\n", "\n\r\n \n"))
-                 + json.dumps({"id": 20, "vector": [0.5] * 400}) + "\n")
-        data = (first + bad + "\n" + " " * (len(first) - 1000) + "\n").encode()
-        assert data.index(b"\n", len(data) // 2) + 1 == len(first)
+        # the bad row is the worker's share's (non-blank row 21) or this
+        # process's (row 20); CRLF, CR, LF and blank lines before it count toward its line
+        for row, lineno in ((21, 32), (20, 31)):
+            data = self.rows(row, ("\r\n", "\r", "\n", "\n\r\n \n")) + bad + "\n" + self.rows(4)
+            path = tmp_path / f"{row}.jsonl"
+            path.write_bytes(data.encode())
+            error = (InvalidFormatError, f"{path}:{lineno}: {message}")
+            assert loaded(path, 0) == loaded(path, IN_PROCESS) == error
+            # only the share that holds the row fails
+            with pytest.raises(InvalidFormatError, match=re.escape(error[1])):
+                jsonl.read_lines(path, retrieval._every_other(row % 2))
+            jsonl.read_lines(path, retrieval._every_other(1 - row % 2))
+
+    def test_file_with_no_lf_splits_and_reads_as_one_process(self, tmp_path):
         path = tmp_path / "v.jsonl"
-        path.write_bytes(data)
-        assert loaded(path, 0) == loaded(path, IN_PROCESS) == (InvalidFormatError, f"{path}:32: {message}")
+        path.write_bytes(self.rows(10, ("\r",)).encode())
+        with split_floor(0) as (forks, reads):
+            split = loaded(path, 0)
+        assert len(forks) == 1 and not reads  # parsed once
+        assert split == loaded(path, IN_PROCESS) and len(split) == 10
 
     def test_bad_row_in_each_half_names_the_first(self, tmp_path):
         path = tmp_path / "v.jsonl"
@@ -690,6 +699,23 @@ class TestSplitLoad:
             assert loaded(path, 0) == expected
         assert len(forks) == len(reads) == 1
         assert len(peeked) == 1 and peeked[0]  # the stream was cut short, not empty
+
+    def test_worker_share_of_another_length_reads_in_one_process(self, tmp_path, monkeypatch):
+        # as when the file changes between the two reads: the worker sends
+        # fewer rows than this process left slots for
+        path = tmp_path / "v.jsonl"
+        write_embeddings_jsonl(path, [(i, [i + 0.5, -1e-300]) for i in range(10)])
+        expected = loaded(path, IN_PROCESS)
+        parent, read_lines = os.getpid(), retrieval.read_lines
+
+        def shorter_in_worker(path, row_fn, **kwargs):
+            rows = read_lines(path, row_fn, **kwargs)
+            return rows if os.getpid() == parent else rows[:-2]
+
+        monkeypatch.setattr(retrieval, "read_lines", shorter_in_worker)
+        with split_floor(0) as (forks, reads):
+            assert loaded(path, 0) == expected
+        assert len(forks) == len(reads) == 1
 
     def test_interrupt_in_callers_half_is_not_retried(self, tmp_path, monkeypatch):
         path = tmp_path / "v.jsonl"
@@ -855,7 +881,8 @@ class TestEmbeddingsCache:
         lambda data, matrix: npy_bytes(matrix[:-1]),
         lambda data, matrix: npy_bytes(with_nan(matrix)),
         lambda data, matrix: b"",
-    ], ids=["truncated", "object-array", "pickle", "int", "1-d", "row-count", "nan", "empty"])
+        lambda data, matrix: npy_header((10**12, matrix.shape[1])) + matrix.tobytes(),
+    ], ids=["truncated", "object-array", "pickle", "int", "1-d", "row-count", "nan", "empty", "huge-header"])
     def test_corrupt_entry_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, parses, corrupt):
         make_demo(tmp_path, monkeypatch)
         expected = self.run(tmp_path, "retrieve")
@@ -915,6 +942,26 @@ class TestEmbeddingsCache:
         assert len(parses) == 2
         (entry,) = [name for name in self.entries(tmp_path) if name != other]
         assert entry.endswith(".npy") and other in self.entries(tmp_path)
+
+    def test_a_cold_save_removes_the_temps_of_writers_killed_in_write_file(self, tmp_path, monkeypatch, parses):
+        # the temps are named by write_file itself, which the prune pattern must match
+        make_demo(tmp_path, monkeypatch)
+        expected = self.run(tmp_path, "retrieve")
+        (entry,) = self.entries(tmp_path)
+        shutil.rmtree(tmp_path / "out")
+        cache = tmp_path / CACHE_DIR
+        killed = ("import os, signal, sys; from pathlib import Path; from icdkit.jsonl import write_file; "
+                  "write_file(Path(sys.argv[1]), lambda handle: os.kill(os.getpid(), signal.SIGKILL))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        for target in (cache / entry, cache / "embeddings.jsonl.stat"):
+            target.unlink()
+            result = subprocess.run([sys.executable, "-c", killed, str(target)], env=env)
+            assert result.returncode == -signal.SIGKILL
+        temps = sorted(cache.glob("*.tmp"))
+        assert [path.name.rsplit(".", 2)[0] for path in temps] == [entry, "embeddings.jsonl.stat"]
+        assert self.run(tmp_path, "retrieve") == expected
+        assert len(parses) == 2  # a cold save
+        assert sorted(path.name for path in cache.iterdir()) == [entry, "embeddings.jsonl.stat"]
 
     def test_a_save_whose_temp_another_save_removed_is_dropped(self, tmp_path, monkeypatch, parses):
         make_demo(tmp_path, monkeypatch)
