@@ -9,7 +9,6 @@ drops the subcode.
 
 from __future__ import annotations
 
-import functools
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -39,26 +38,46 @@ class IcdCode(str):
         return super().__new__(cls, text)
 
 
+# canonical code text -> its IcdCode, filled by parse_code and never evicted;
+# the bound is above ICD-10's ~14k codes
+_CODES: dict[str, IcdCode] = {}
+_CODES_MAX = 1 << 15
+
+
 def parse_code(text: str) -> IcdCode:
     """Parse canonical ICD-10 text (``H10.0``) into an :class:`IcdCode`.
 
     Surrounding whitespace is tolerated; anything else that deviates from
     ``<letter><dd>`` or ``<letter><dd>.<d[d]>`` raises
-    :class:`InvalidFormatError`. The result equals the stripped text.
+    :class:`InvalidFormatError`. The result equals the stripped text. The
+    first ``1 << 15`` distinct canonical texts are stored, so parsing one of
+    them again returns the same code object.
     """
+    try:
+        return _CODES[text]
+    except (KeyError, TypeError):  # not parsed yet, or not hashable
+        pass
     if not isinstance(text, str):
         raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
-    return _parse_text(text)
-
-
-@functools.lru_cache(maxsize=1 << 15)  # above ICD-10's ~14k codes; a raise is not cached
-def _parse_text(text: str) -> IcdCode:
     stripped = text.strip()
     if not stripped:
         raise InvalidFormatError("empty ICD code")
     if _CODE_RE.fullmatch(stripped) is None:
         raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
-    return IcdCode(stripped)
+    code = str.__new__(IcdCode, stripped)  # matched above, so IcdCode's own check is skipped
+    if stripped == text and len(_CODES) < _CODES_MAX:  # one entry per code: padded text is not stored
+        _CODES[text] = code
+    return code
+
+
+def parse_codes(texts: list[str]) -> list[IcdCode]:
+    """``[parse_code(text) for text in texts]``: the first text that does not
+    parse raises :func:`parse_code`'s error. Texts already parsed are looked
+    up in one pass over the list."""
+    try:
+        return list(map(_CODES.__getitem__, texts))
+    except (KeyError, TypeError):
+        return list(map(parse_code, texts))
 
 
 def truncate_to_group(code: IcdCode) -> IcdCode:

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from icdkit.codes import IcdCode, parse_code
+from icdkit.codes import IcdCode, parse_code, parse_codes
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_lines, read_unique, typed_field
 from icdkit.metrics import ConfusionCounts, sum_counts
+
+_COUNT_RE = re.compile("-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -89,13 +91,17 @@ def restrict(records: Iterable[MultiLabelRecord], space: LabelSpace) -> Restrict
     """Drop out-of-space codes from both sides of every record.
 
     Prediction drops and gold drops are counted separately; applying the
-    restriction twice changes nothing.
+    restriction twice changes nothing. A record with no code to drop is
+    kept as the same object.
     """
-    members = set(space.codes)
+    members = frozenset(space.codes)
     restricted: list[MultiLabelRecord] = []
     dropped_predicted = 0
     dropped_gold = 0
     for record in records:
+        if record.predicted <= members and record.gold <= members:
+            restricted.append(record)
+            continue
         kept_pred = record.predicted & members
         kept_gold = record.gold & members
         dropped_predicted += len(record.predicted) - len(kept_pred)
@@ -191,9 +197,12 @@ def frequency_split(
 def read_records_jsonl(path: str | Path) -> list[MultiLabelRecord]:
     """Load ``{"record_id": ..., "gold": [...], "predicted": [...]}`` rows;
     a record_id appears once."""
-    return read_unique(path, lambda row: MultiLabelRecord(
-        row["record_id"], gold=frozenset(map(parse_code, typed_field(row, "gold", list))),
-        predicted=frozenset(map(parse_code, typed_field(row, "predicted", list)))), "record_id")
+    return read_unique(path, _record, "record_id")
+
+
+def _record(row: dict) -> MultiLabelRecord:
+    return MultiLabelRecord(row["record_id"], gold=frozenset(parse_codes(typed_field(row, "gold", list))),
+                            predicted=frozenset(parse_codes(typed_field(row, "predicted", list))))
 
 
 def read_training_counts_tsv(path: str | Path) -> dict[IcdCode, int]:
@@ -205,7 +214,7 @@ def read_training_counts_tsv(path: str | Path) -> dict[IcdCode, int]:
         if len(parts) != 2:
             raise InvalidFormatError("expected CODE<TAB>COUNT")
         code, text = parse_code(parts[0]), parts[1].strip()
-        if re.fullmatch("-?[0-9]+", text) is None:
+        if _COUNT_RE.fullmatch(text) is None:
             raise InvalidFormatError(f"count must be ASCII decimal digits, got {text!r}")
         count = int(text)
         if count < 0:

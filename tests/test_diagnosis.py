@@ -300,6 +300,31 @@ class TestAgainstEnumerationOracle:
                             rel_tol=0, abs_tol=1e-12)
 
 
+class TestRestrictOracle:
+    @settings(max_examples=100, derandomize=True)
+    @given(st.lists(st.tuples(st.sets(st.sampled_from(CODE_POOL)), st.sets(st.sampled_from(CODE_POOL)),
+                              st.sampled_from([set, frozenset])), max_size=12),
+           st.sets(st.sampled_from(CODE_POOL), min_size=1))
+    def test_matches_intersecting_every_record(self, drawn, space_codes):
+        records = [MultiLabelRecord(f"r{i}", kind(map(code, predicted)), kind(map(code, gold)))
+                   for i, (predicted, gold, kind) in enumerate(drawn)]
+        space = space_of({c: 1 / len(space_codes) for c in space_codes})
+        result = restrict(records, space)
+
+        # oracle: intersect both sides of every record with the space, and count what goes
+        members = set(space.codes)
+        expected = [MultiLabelRecord(r.record_id, frozenset(r.predicted & members),
+                                     frozenset(r.gold & members)) for r in records]
+        assert result.records == tuple(expected)
+        assert result.dropped_predicted == sum(len(r.predicted - members) for r in records)
+        assert result.dropped_gold == sum(len(r.gold - members) for r in records)
+        for before, after in zip(records, result.records):
+            if before.predicted <= members and before.gold <= members:
+                assert after is before
+            else:
+                assert type(after.predicted) is type(after.gold) is frozenset
+
+
 class TestFileReaders:
     def test_records_jsonl(self, tmp_path):
         path = tmp_path / "records.jsonl"
