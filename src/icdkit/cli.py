@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from icdkit import __version__
 from icdkit.coding import evaluate_coding, import_selection, read_code_predictions
-from icdkit.codes import IcdDictionary, load_dictionary, parse_code, parse_codes, read_dictionary_tsv
+from icdkit.codes import IcdDictionary, load_dictionary, parse_code, read_dictionary_tsv
 from icdkit.corpus import check_annotators, corpus_stats, iaa_ratio, pairwise_jaccard, read_corpus_dir
 from icdkit.diagnosis import (
     build_label_space,
@@ -217,7 +217,7 @@ def cmd_agreement(config: RunConfig) -> tuple[dict, dict[str, str]]:
         for codes in typed_field(row, "annotators", list):
             if type(codes) is not list:
                 raise InvalidFormatError(f"annotator codes must be list, got {codes!r}")
-            sets.append(frozenset(parse_codes(codes)))
+            sets.append(frozenset(map(parse_code, codes)))
         check_annotators(sets, len(records[0]) if records else len(sets))
         records.append(sets)
 

@@ -70,16 +70,6 @@ def parse_code(text: str) -> IcdCode:
     return code
 
 
-def parse_codes(texts: list[str]) -> list[IcdCode]:
-    """``[parse_code(text) for text in texts]``: the first text that does not
-    parse raises :func:`parse_code`'s error. Texts already parsed are looked
-    up in one pass over the list."""
-    try:
-        return list(map(_CODES.__getitem__, texts))
-    except (KeyError, TypeError):
-        return list(map(parse_code, texts))
-
-
 def truncate_to_group(code: IcdCode) -> IcdCode:
     """Drop the subcode, mapping a code to its higher-level disease group.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from icdkit.codes import IcdCode, parse_code, parse_codes, truncate_to_group
+from icdkit.codes import IcdCode, parse_code, truncate_to_group
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_grouped, typed_field
 from icdkit.metrics import ConfusionCounts, MetricsReport, micro_report
@@ -67,7 +67,7 @@ def read_code_predictions(path: str | Path) -> dict[str, list[IcdCode]]:
     """Load per-record code lists from JSONL rows of
     ``{"doc_id": ..., "codes": [...]}``. Duplicate rows for one record
     are concatenated (aggregation dedupes anyway)."""
-    return read_grouped(path, "doc_id", lambda row: parse_codes(typed_field(row, "codes", list)))
+    return read_grouped(path, "doc_id", lambda row: list(map(parse_code, typed_field(row, "codes", list))))
 
 
 def import_selection(candidates: Mapping[str, Sequence[Mapping]], selection: Mapping) -> IcdCode:

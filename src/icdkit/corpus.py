@@ -105,26 +105,23 @@ def read_corpus_dir(corpus_dir: str | Path) -> list[AnnotatedDocument]:
     """Parse every ``.txt``/``.ann`` pair under a directory, sorted by name; an
     unpaired file, or one whose name is not UTF-8, is an error."""
     corpus_dir = Path(corpus_dir)
-    # the text of corpus_dir / name is this prefix plus the name ("" for ".")
-    prefix = str(corpus_dir / "_")[:-1]
     # one directory listing finds unpaired files of both kinds, with no glob or stat per file
-    names = set(os.listdir(corpus_dir))
+    names = {path.name for path in corpus_dir.iterdir()}
     docs = []
     for txt_name in sorted({name[:-4] + ".txt" for name in names if name.endswith((".txt", ".ann"))}):
-        doc_id = txt_name[:-4]
-        ann_name = doc_id + ".ann"
+        doc_id, ann_path = txt_name[:-4], corpus_dir / (txt_name[:-4] + ".ann")
         try:  # a report could not hold the name as a doc_id
             doc_id.encode()
         except UnicodeEncodeError:
-            name = os.fsencode(txt_name if txt_name in names else ann_name)
+            name = os.fsencode(txt_name if txt_name in names else ann_path.name)
             raise InvalidFormatError(f"{corpus_dir}: file name {name!r} is not UTF-8") from None
         if txt_name not in names:
-            raise InvalidFormatError(f"missing text file for {ann_name}")
-        if ann_name not in names:
+            raise InvalidFormatError(f"missing text file for {ann_path.name}")
+        if ann_path.name not in names:
             raise InvalidFormatError(f"missing annotation file for {txt_name}")
         # no newline translation or BOM removal: BRAT offsets count every \r and a U+FEFF
-        text = read_text(prefix + txt_name, encoding="utf-8", newline="")
-        docs.append(parse_brat(text, read_text(prefix + ann_name), doc_id, prefix + ann_name))
+        text = read_text(corpus_dir / txt_name, encoding="utf-8", newline="")
+        docs.append(parse_brat(text, read_text(ann_path), doc_id, ann_path))
     return docs
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from icdkit.codes import IcdCode, parse_code, parse_codes
+from icdkit.codes import IcdCode, parse_code
 from icdkit.errors import InvalidFormatError
 from icdkit.jsonl import read_lines, read_unique, typed_field
 from icdkit.metrics import ConfusionCounts, sum_counts
@@ -91,15 +91,18 @@ def restrict(records: Iterable[MultiLabelRecord], space: LabelSpace) -> Restrict
     """Drop out-of-space codes from both sides of every record.
 
     Prediction drops and gold drops are counted separately; applying the
-    restriction twice changes nothing. A record with no code to drop is
-    kept as the same object.
+    restriction twice changes nothing. A record of frozensets with no code
+    to drop is kept as the same object; any other record is rebuilt with
+    frozensets.
     """
     members = frozenset(space.codes)
     restricted: list[MultiLabelRecord] = []
     dropped_predicted = 0
     dropped_gold = 0
     for record in records:
-        if record.predicted <= members and record.gold <= members:
+        # a record of a caller's mutable sets is rebuilt, so the result is hashable and shares no set
+        if (type(record.predicted) is frozenset and type(record.gold) is frozenset
+                and record.predicted <= members and record.gold <= members):
             restricted.append(record)
             continue
         kept_pred = record.predicted & members
@@ -197,12 +200,9 @@ def frequency_split(
 def read_records_jsonl(path: str | Path) -> list[MultiLabelRecord]:
     """Load ``{"record_id": ..., "gold": [...], "predicted": [...]}`` rows;
     a record_id appears once."""
-    return read_unique(path, _record, "record_id")
-
-
-def _record(row: dict) -> MultiLabelRecord:
-    return MultiLabelRecord(row["record_id"], gold=frozenset(parse_codes(typed_field(row, "gold", list))),
-                            predicted=frozenset(parse_codes(typed_field(row, "predicted", list))))
+    return read_unique(path, lambda row: MultiLabelRecord(
+        row["record_id"], gold=frozenset(map(parse_code, typed_field(row, "gold", list))),
+        predicted=frozenset(map(parse_code, typed_field(row, "predicted", list)))), "record_id")
 
 
 def read_training_counts_tsv(path: str | Path) -> dict[IcdCode, int]:

@@ -73,18 +73,13 @@ def _occurrences(data: str, item: str, limit: int) -> int:
 
 
 def read_text(path: str | Path, encoding: str = "utf-8-sig", newline: str | None = None) -> str:
-    """The whole of a UTF-8 file, as ``open`` with ``encoding`` and ``newline``
-    reads it; bytes that are not UTF-8 are located like :func:`read_lines`' errors."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    """The whole of a UTF-8 file, with ``open``'s ``encoding`` and ``newline``;
+    bytes that are not UTF-8 are located like :func:`read_lines`' errors."""
     try:
-        text = data.decode(encoding)
+        with open(path, encoding=encoding, newline=newline) as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise _not_utf8(path) from exc
-    # newline=None translates CRLF and CR to LF; any other value reads lines as they are
-    if newline is None and "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 def _not_utf8(path: str | Path) -> InvalidFormatError:

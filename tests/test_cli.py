@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdkit import __version__, cli, codes, coding, diagnosis, retrieval
-from icdkit.codes import parse_code
+from icdkit import __version__, cli, coding, diagnosis, retrieval
 from icdkit.cli import RunConfig, main
-from icdkit.errors import ConfigError, InvalidFormatError
+from icdkit.errors import ConfigError
 from icdkit.corpus import read_corpus_dir
 
 from conftest import npy_header, write_config
@@ -814,36 +813,6 @@ class TestMalformedRows:
         assert f"{files[bad_key].resolve()}:{lineno}:" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
-
-    # each list of codes is parsed in bulk; its first bad text, after codes never
-    # parsed before, must raise what a parse of one code at a time raises
-    @pytest.mark.parametrize("bad", ["XX", " ", 5, None, []], ids=["malformed", "blank", "int", "null", "list"])
-    @pytest.mark.parametrize("command, bad_key, good, bad_row, texts", [
-        ("eval-dp", "records", {"training_counts": "J00\t3"},
-         lambda bad: {"record_id": "r2", "gold": ["J00", "Q12.3"], "predicted": ["Q45.6", bad, "XX"]},
-         lambda row: row["gold"] + row["predicted"]),
-        ("eval-coding", "predictions", {"gold": '{"doc_id": "d1", "codes": ["J00"]}'},
-         lambda bad: {"doc_id": "d2", "codes": ["J00", "Q12.3", bad, "XX"]},
-         lambda row: row["codes"]),
-        ("agreement", "annotator_sets", {},
-         lambda bad: {"record_id": "r2", "annotators": [["J00", "Q12.3"], ["Q45.6", bad, "XX"]]},
-         lambda row: [text for annotator in row["annotators"] for text in annotator]),
-    ], ids=["records", "code-predictions", "annotator-sets"])
-    def test_bad_code_in_a_list_is_named_as_a_per_code_parse_names_it(
-            self, tmp_path, capsys, monkeypatch, command, bad_key, good, bad_row, texts, bad):
-        first = {"records": '{"record_id": "r1", "gold": ["J00"], "predicted": ["J00"]}',
-                 "predictions": '{"doc_id": "d1", "codes": ["J00"]}',
-                 "annotator_sets": '{"record_id": "r1", "annotators": [["J00"], ["J00"]]}'}[bad_key]
-        paths = {"output_dir": tmp_path / "out"}
-        for key, lines in {**good, bad_key: first + "\n" + json.dumps(bad_row(bad))}.items():
-            paths[key] = tmp_path / f"{key}.txt"
-            paths[key].write_text(lines + "\n", encoding="utf-8")
-        monkeypatch.setattr(codes, "_CODES", {})
-        assert run_cli(command, write_config(tmp_path / "cfg.json", paths)) == 3
-        with pytest.raises(InvalidFormatError) as single:
-            for text in texts(bad_row(bad)):
-                parse_code(text)
-        assert f"error: {paths[bad_key].resolve()}:2: {single.value}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("array, found", [
         (np.zeros(2), "found float64 of shape (2,)"),

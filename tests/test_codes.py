@@ -18,7 +18,6 @@ from icdkit.codes import (
     merge_synonyms,
     normalize_name,
     parse_code,
-    parse_codes,
     read_dictionary_tsv,
     truncate_to_group,
 )
@@ -63,18 +62,12 @@ class TestParseCode:
 
     @pytest.mark.parametrize("bad", ["", "   ", "H1", "H100", "h10", "Н10", "H10.", "H10.123", "AA10",
                                      5, None, ["H10"], "H١٠.٣", "H１０", []])
-    def test_rejects_wrong_shapes(self, bad, monkeypatch):
+    def test_rejects_wrong_shapes(self, bad):
         # "Н10" uses a Cyrillic letter, which must not pass for Latin H, and
-        # "H١٠.٣" and "H１０" Arabic-Indic and fullwidth digits, not ASCII ones
-        with pytest.raises(InvalidFormatError) as single:
+        # "H١٠.٣" and "H１０" Arabic-Indic and fullwidth digits, not ASCII ones;
+        # ["H10"] and [] cannot be looked up in the table at all
+        with pytest.raises(InvalidFormatError):
             parse_code(bad)
-        # after codes never parsed before, then after the same codes once stored,
-        # a list raises the error of its first bad text
-        monkeypatch.setattr(codes, "_CODES", {})
-        for _ in range(2):
-            with pytest.raises(InvalidFormatError) as bulk:
-                parse_codes(["Q12.3", "E11.9", bad, "XX"])
-            assert str(bulk.value) == str(single.value)
 
     def test_empty_is_its_own_error(self):
         with pytest.raises(InvalidFormatError, match="^empty ICD code$"):
@@ -91,16 +84,15 @@ class TestParseCode:
         assert str(parse_code(" E11.9 ")) == "E11.9"
         # only canonical text is stored, so a padded text is parsed on every call
         assert parse_code(" H10 ") == "H10" and " H10 " not in codes._CODES
-        assert parse_codes([" H10 ", "H10"]) == ["H10", "H10"] and " H10 " not in codes._CODES
 
     def test_table_stops_growing_at_its_bound(self, monkeypatch):
         monkeypatch.setattr(codes, "_CODES", {})
         texts = [f"{letter}{group:02d}.{sub:02d}" for letter in string.ascii_uppercase
                  for group in range(100) for sub in range(100)][:40_000]
-        assert parse_codes(texts) == texts
+        assert [parse_code(text) for text in texts] == texts
         assert len(codes._CODES) == 1 << 15
         # past the bound every code still parses, and none is stored
-        assert [parse_code(text) for text in texts] == texts and parse_codes(texts) == texts
+        assert [parse_code(text) for text in texts] == texts
         assert len(codes._CODES) == 1 << 15
         assert parse_code(texts[0]) is codes._CODES[texts[0]] and texts[-1] not in codes._CODES
 

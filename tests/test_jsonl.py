@@ -16,7 +16,7 @@ from icdkit.coding import read_code_predictions
 from icdkit.corpus import read_corpus_dir
 from icdkit.diagnosis import read_training_counts_tsv
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import MAX_DEPTH, parse_json, read_jsonl, read_lines, read_text, typed_field
+from icdkit.jsonl import MAX_DEPTH, parse_json, read_jsonl, read_lines, typed_field
 
 BOM = b"\xef\xbb\xbf"
 
@@ -77,19 +77,6 @@ class TestReadLines:
         path.write_text('# note\n{"a": 1}\n', encoding="utf-8")
         with pytest.raises(InvalidFormatError, match=":1: unexpected character"):
             list(read_jsonl(path, dict))
-
-
-class TestReadText:
-    # the oracle is open(): .ann files and configs are read as utf-8-sig with
-    # CRLF and CR made LF, and .txt files as utf-8 with every byte kept
-    @settings(derandomize=True, max_examples=200)
-    @given(st.lists(st.sampled_from([b"a", b"\r", b"\n", BOM, "ё".encode()]), max_size=12).map(b"".join),
-           st.sampled_from([{}, {"encoding": "utf-8", "newline": ""}]))
-    def test_reads_what_open_reads(self, tmp_path_factory, data, kwargs):
-        path = tmp_path_factory.mktemp("text") / "file"
-        path.write_bytes(data)
-        with open(path, **{"encoding": "utf-8-sig", "newline": None, **kwargs}) as handle:
-            assert read_text(path, **kwargs) == handle.read()
 
 
 class TestByteOrderMark:
