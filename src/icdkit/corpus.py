@@ -70,13 +70,13 @@ def parse_brat(text: str, ann: str, doc_id: str = "", ann_path: str | Path = "an
     """
     links: dict[str, tuple[Span, list[IcdCode]]] = {}
 
-    def row(line: str) -> None:
-        line = line.rstrip("\n")
+    def row(line: str) -> None:  # both line regexes stop before the \n that frame_lines keeps
         kind = line[0]
         if kind == "T":
             m = _T_LINE_RE.match(line)
             if m is None:
-                raise InvalidFormatError(f"malformed T line: {line!r}")
+                shown = line.rstrip("\n")
+                raise InvalidFormatError(f"malformed T line: {shown!r}")
             tid, _label, start_text, end_text, surface = m.groups()
             if tid in links:
                 raise InvalidFormatError(f"duplicate {tid}")
@@ -89,13 +89,14 @@ def parse_brat(text: str, ann: str, doc_id: str = "", ann_path: str | Path = "an
         elif kind == "N":
             m = _N_LINE_RE.match(line)
             if m is None:
-                raise InvalidFormatError(f"malformed N line: {line!r}")
+                shown = line.rstrip("\n")
+                raise InvalidFormatError(f"malformed N line: {shown!r}")
             _nid, _reftype, tid, _resource, code_text, _name = m.groups()
             if tid not in links:
                 raise InvalidFormatError(f"reference to missing {tid}")
             links[tid][1].append(parse_code(code_text))
 
-    # newline=None splits at CRLF, CR and LF only, as read_lines does
+    # the one translation of an .ann's line breaks: at CRLF, CR and LF only, as read_lines
     frame_lines(io.StringIO(ann, newline=None), ann_path, row)
     return AnnotatedDocument(doc_id, text, tuple((span, code) for span, codes in links.values()
                                                  for code in codes))
@@ -106,7 +107,7 @@ def read_corpus_dir(corpus_dir: str | Path) -> list[AnnotatedDocument]:
     unpaired file, or one whose name is not UTF-8, is an error."""
     corpus_dir = Path(corpus_dir)
     # one directory listing finds unpaired files of both kinds, with no glob or stat per file
-    names = {path.name for path in corpus_dir.iterdir()}
+    names = set(os.listdir(corpus_dir))
     docs = []
     for txt_name in sorted({name[:-4] + ".txt" for name in names if name.endswith((".txt", ".ann"))}):
         doc_id, ann_path = txt_name[:-4], corpus_dir / (txt_name[:-4] + ".ann")
@@ -119,8 +120,8 @@ def read_corpus_dir(corpus_dir: str | Path) -> list[AnnotatedDocument]:
             raise InvalidFormatError(f"missing text file for {ann_path.name}")
         if ann_path.name not in names:
             raise InvalidFormatError(f"missing annotation file for {txt_name}")
-        # no newline translation or BOM removal: BRAT offsets count every \r and a U+FEFF
-        text = read_text(corpus_dir / txt_name, encoding="utf-8", newline="")
+        # no BOM removal: BRAT offsets count every \r and a U+FEFF
+        text = read_text(corpus_dir / txt_name, encoding="utf-8")
         docs.append(parse_brat(text, read_text(ann_path), doc_id, ann_path))
     return docs
 

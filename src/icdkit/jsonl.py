@@ -10,7 +10,6 @@ by ``json.dumps``, whose bytes the reports and artifacts keep.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import re
@@ -53,7 +52,7 @@ def frame_lines(lines: Iterable[str], where: str | Path, row_fn: Callable[[str],
 def read_lines(path: str | Path, row_fn: Callable[[str], T], *, comments: bool = False) -> list[T]:
     """:func:`frame_lines` over a UTF-8 file, streamed, one leading BOM dropped. A line ends at CRLF, CR or LF
     and reaches ``row_fn`` with that break as ``\\n``; bytes that are not UTF-8 are an error at their line."""
-    with open(path, "rb") as handle, io.TextIOWrapper(handle, encoding="utf-8-sig", newline=None) as text:
+    with open(path, encoding="utf-8-sig", newline=None) as text:
         try:
             return frame_lines(text, path, row_fn, comments)
         except UnicodeDecodeError as exc:
@@ -72,11 +71,11 @@ def _occurrences(data: str, item: str, limit: int) -> int:
     return count
 
 
-def read_text(path: str | Path, encoding: str = "utf-8-sig", newline: str | None = None) -> str:
-    """The whole of a UTF-8 file, with ``open``'s ``encoding`` and ``newline``;
-    bytes that are not UTF-8 are located like :func:`read_lines`' errors."""
+def read_text(path: str | Path, encoding: str = "utf-8-sig") -> str:
+    """The whole of a UTF-8 file decoded with ``open``'s ``encoding``, no line
+    break translated; bytes that are not UTF-8 are located like :func:`read_lines`' errors."""
     try:
-        with open(path, encoding=encoding, newline=newline) as handle:
+        with open(path, encoding=encoding, newline="") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise _not_utf8(path) from exc

@@ -28,9 +28,11 @@ import re
 import signal
 import sys
 import time
+import tokenize
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 import orjson
@@ -375,7 +377,7 @@ def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
         if hashed:
             digest = _file_digest(path)
         cache = path.parent / CACHE_DIR / f"{path.name}.{_entry_key(digest)}.npy"
-        index = matrix_index(cache, dictionary)
+        index = matrix_index(cache, dictionary, cached=True)
     except (OSError, ValueError):
         pass  # a miss
     else:
@@ -398,32 +400,42 @@ def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
     return index
 
 
-def matrix_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
+def matrix_index(path: str | Path, dictionary: IcdDictionary, *, cached: bool = False) -> EmbeddingIndex:
     """The index of ``dictionary`` over the ``.npy`` matrix at ``path``, row
     *i* for entry id *i*: a finite 2-D float array with one row per entry and
     at least one column, whose header is checked against the file's size
     before its data is read, never unpickled, into an array the index keeps
-    without a copy. Any other file raises :class:`InvalidFormatError` naming
-    it and what it holds."""
-    with open(path, "rb") as handle:
+    without a copy. A ``cached`` matrix, a cache entry, is C-order float64
+    followed by the :func:`_checksum` of its data. Any other file raises
+    :class:`InvalidFormatError` naming it and what it holds."""
+    with open(path, "rb") as handle, warnings.catch_warnings():
+        # numpy reads a header that Python cannot parse as Python 2's, if it can, with a UserWarning
+        warnings.simplefilter("error", UserWarning)
         try:  # read_array would allocate what any header claims before reading it
             version = np.lib.format.read_magic(handle)
             if version not in ((1, 0), (2, 0), (3, 0)):  # 3.0 is 2.0 with a UTF-8 header
                 raise ValueError(f"unsupported .npy format version {version}")
             shape, fortran_order, dtype = (np.lib.format.read_array_header_1_0 if version == (1, 0)
                                            else np.lib.format.read_array_header_2_0)(handle)
-            if os.fstat(handle.fileno()).st_size - handle.tell() != math.prod(shape) * dtype.itemsize:
+            if os.fstat(handle.fileno()).st_size - handle.tell() != math.prod(shape) * dtype.itemsize + 8 * cached:
                 raise ValueError(f"the bytes after the header are not those of {dtype} of shape {shape}")
-        except ValueError as exc:  # cut short, a pickle, an object array
+        except (ValueError, UserWarning, tokenize.TokenError) as exc:  # cut short, a pickle, a torn header
             raise InvalidFormatError(f"{path}: cannot read a .npy array: {exc}") from exc
         if len(shape) != 2 or dtype.kind != "f" or shape[0] != len(dictionary) or not shape[1]:
             raise InvalidFormatError(f"{path}: expected a 2-D float array of {len(dictionary)} rows, one per "
                                      f"dictionary entry, found {dtype} of shape {shape}")
         matrix = np.fromfile(handle, dtype, math.prod(shape)).reshape(shape, order="F" if fortran_order else "C")
+        if cached and (dtype != np.float64 or fortran_order or handle.read() != _checksum(matrix)):
+            raise InvalidFormatError(f"{path}: not a float64 cache entry that matches its checksum")
     try:
         return EmbeddingIndex._adopt([entry.code for entry in dictionary], matrix.astype(np.float64, copy=False))
     except InvalidFormatError as exc:  # a NaN or an infinity
         raise InvalidFormatError(f"{path}: {exc}") from exc
+
+
+def _checksum(matrix: np.ndarray) -> bytes:
+    """The XOR of a float64 ``matrix``'s 8-byte words: any change within one word changes it."""
+    return int(np.bitwise_xor.reduce(matrix.view(np.uint64), axis=None)).to_bytes(8, "little")
 
 
 def _stamp(path: Path) -> tuple[int, ...]:
@@ -476,7 +488,12 @@ def _save_matrix(cache: Path, source: str, matrix: np.ndarray) -> None:
     record, which a killed writer leaves; a live writer whose temp goes
     fails its rename, as on a full disk."""
     cache.parent.mkdir(exist_ok=True)
-    write_file(cache, lambda handle: np.lib.format.write_array(handle, matrix, allow_pickle=False))
+
+    def write(handle: BinaryIO) -> None:
+        np.lib.format.write_array(handle, matrix, allow_pickle=False)
+        handle.write(_checksum(matrix))
+
+    write_file(cache, write)
     stale = re.compile(re.escape(source) + r"\.(?:[0-9a-f]{64}\.npy(?:\.[0-9a-f]{16}\.tmp)?"
                                            r"|stat\.[0-9a-f]{16}\.tmp)")
     for entry in cache.parent.iterdir():

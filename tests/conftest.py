@@ -27,6 +27,12 @@ def npy_header(shape):
     return handle.getvalue()
 
 
+def torn(data):
+    """The version 1.0 ``.npy`` bytes ``data`` with a header length one more,
+    so that the header ends in the first byte of the array's data."""
+    return data[:8] + bytes([data[8] + 1]) + data[9:]
+
+
 def brute_force(vectors, query, k):
     """Independent retrieval oracle: python-loop distances, sort by (d2, entry_id)."""
     scored = []

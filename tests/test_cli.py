@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from icdkit.cli import RunConfig, main
 from icdkit.errors import ConfigError
 from icdkit.corpus import read_corpus_dir
 
-from conftest import npy_header, write_config
+from conftest import npy_header, torn, write_config
 from test_golden import GOLDEN, make_demo, run_digests
 
 
@@ -826,8 +827,12 @@ class TestMalformedRows:
         (npy_header((2, 10**12)) + np.zeros((2, 768)).tobytes(), "cannot read a .npy array: "),
         (b"\x93NUMPY\x09\x00" + npy_header((2, 1))[8:] + np.zeros((2, 1)).tobytes(),
          "cannot read a .npy array: unsupported .npy format version (9, 0)"),
+        # a header that ends in "{" stops numpy's tokenizer with a TokenError, not a ValueError
+        (torn(npy_header((2, 1)) + b"{" + bytes(15)), "cannot read a .npy array: "),
+        # a line break in the padding: numpy reads the header as Python 2's, with a UserWarning
+        (npy_header((2, 1)).replace(b"} ", b"}\n ", 1) + bytes(16), "cannot read a .npy array: "),
     ], ids=["1-d", "int", "nan", "row-count", "no-columns", "object-array", "huge-header", "huge-columns",
-            "unknown-version"])
+            "unknown-version", "torn-header", "python-2-header"])
     def test_bad_npy_embeddings_exit_3_naming_file(self, tmp_path, capsys, array, found):
         paths = {"dictionary": tmp_path / "dictionary.tsv", "embeddings": tmp_path / "embeddings.npy",
                  "output_dir": tmp_path / "out"}
@@ -836,7 +841,9 @@ class TestMalformedRows:
             paths["embeddings"].write_bytes(array)
         else:
             np.save(paths["embeddings"], array, allow_pickle=array.dtype == object)
-        assert run_cli("index", write_config(tmp_path / "cfg.json", paths)) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a bad file is an error, never a warning
+            assert run_cli("index", write_config(tmp_path / "cfg.json", paths)) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths['embeddings'].resolve()}: ") and found in err
         assert "Traceback" not in err
@@ -929,7 +936,12 @@ class TestConfigHandling:
          "cannot read config {cfg}: {cfg}:1: not UTF-8: invalid start byte (byte 0xff at offset 26)"),
         (b'{"paths": {"corpus_dir": "a\\u0000b"}}', "cannot resolve config paths: embedded null byte"),
         (b'{"options": {"fraction": NaN}}', "cannot read config {cfg}: unexpected character"),
-    ], ids=["deep-nesting", "not-utf8", "nul-in-path", "nan"])
+        # the parser counts the raw characters: a CR is one more char, and a line ends only at LF
+        (b'{\r\n  "paths": {\r\n    "corpus_dir": "c",,\r\n  }\r\n}\r\n',
+         "cannot read config {cfg}: unexpected character: line 3 column 23 (char 39)\n"),
+        (b'{\r  "paths": {\r    "corpus_dir": "c",,\r  }\r}\r',
+         "cannot read config {cfg}: unexpected character: line 1 column 38 (char 37)\n"),
+    ], ids=["deep-nesting", "not-utf8", "nul-in-path", "nan", "crlf-position", "cr-position"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, data, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(data)

@@ -103,8 +103,17 @@ class TestParseBrat:
         assert len(doc.entities) == 1
 
     def test_malformed_t_line(self):
-        with pytest.raises(InvalidFormatError, match="^ann:1: malformed T line"):
-            parse_brat(TEXT, "T1\tDisease zero 7\tанемия-\n")
+        # the whole message, at each line break: the quoted line shows no break
+        for line_break in ("\n", "\r\n", "\r", ""):
+            message = r"^ann:1: malformed T line: 'T1\\tDisease zero 7\\tанемия-'$"
+            with pytest.raises(InvalidFormatError, match=message):
+                parse_brat(TEXT, f"T1\tDisease zero 7\tанемия-{line_break}")
+
+    def test_malformed_n_line(self):
+        for line_break in ("\n", "\r\n", "\r", ""):
+            message = r"^ann:2: malformed N line: 'N1\\tReference T1 D50\.9'$"
+            with pytest.raises(InvalidFormatError, match=message):
+                parse_brat(TEXT, f"T1\tDisease 0 7\tанемия-\nN1\tReference T1 D50.9{line_break}")
 
     def test_duplicate_t_id(self):
         # a second T1 would re-point every later N1 line

@@ -16,7 +16,7 @@ from icdkit.coding import read_code_predictions
 from icdkit.corpus import read_corpus_dir
 from icdkit.diagnosis import read_training_counts_tsv
 from icdkit.errors import InvalidFormatError
-from icdkit.jsonl import MAX_DEPTH, parse_json, read_jsonl, read_lines, typed_field
+from icdkit.jsonl import MAX_DEPTH, parse_json, read_jsonl, read_lines, read_text, typed_field
 
 BOM = b"\xef\xbb\xbf"
 
@@ -28,6 +28,8 @@ class TestReadLines:
         assert read_lines(path, lambda line: line) == ["a\n", "b\n", "c\n", "d"]
         with pytest.raises(InvalidFormatError, match=r"rows\.txt:4: 'c\\n'"):
             list(read_lines(path, lambda line: {"a\n": 1, "b\n": 2}[line]))
+        # read_text only decodes: a line break is framed by whoever reads the lines
+        assert read_text(path) == read_text(path, encoding="utf-8") == "a\r\n\r\nb\rc\n \t\nd"
 
     def test_comments_only_when_asked(self, tmp_path):
         path = tmp_path / "rows.txt"
@@ -37,8 +39,10 @@ class TestReadLines:
 
     def test_only_one_leading_bom_dropped(self, tmp_path):
         path = tmp_path / "rows.txt"
-        path.write_bytes(BOM + BOM + b"x\n" + BOM + b"y\n")
+        path.write_bytes(BOM + BOM + b"x\r\n" + BOM + b"y\r")
         assert list(read_lines(path, str.strip)) == ["\ufeffx", "\ufeffy"]
+        assert read_text(path) == "\ufeffx\r\n\ufeffy\r"
+        assert read_text(path, encoding="utf-8") == "\ufeff\ufeffx\r\n\ufeffy\r"
 
     @pytest.mark.parametrize("error", [KeyError, TypeError, ValueError, OverflowError, RecursionError])
     def test_row_errors_become_invalid_format(self, tmp_path, error):
@@ -68,9 +72,12 @@ class TestReadLines:
         # past the decoder's first 8 KB chunk, where a count of decoded lines falls behind
         path = tmp_path / "rows.txt"
         path.write_bytes(b"x\r\n" * 3000 + b"y\r" * 2000 + "анемия\n".encode("cp1251"))
-        with pytest.raises(InvalidFormatError, match=f"^{re.escape(str(path))}:5001: not UTF-8: invalid "
-                                                     r"continuation byte \(byte 0xe0 at offset 13000\)$"):
-            list(read_lines(path, str.strip))
+        # read_text translates no line break, yet counts lines by the same CRLF, CR and LF rule
+        for read in (lambda: read_lines(path, str.strip), lambda: read_text(path),
+                     lambda: read_text(path, encoding="utf-8")):
+            with pytest.raises(InvalidFormatError, match=f"^{re.escape(str(path))}:5001: not UTF-8: invalid "
+                                                         r"continuation byte \(byte 0xe0 at offset 13000\)$"):
+                read()
 
     def test_comment_line_in_jsonl_is_a_data_error(self, tmp_path):
         path = tmp_path / "rows.jsonl"

@@ -9,7 +9,7 @@ reports are compared with the runs over the unedited demo:
   are left in order, since a row's position there is its entry id;
 - framing changes no report: CRLF or CR line ends, a leading BOM, blank and
   whitespace-only lines in every line file but a BRAT ``.txt``, and ``#`` lines
-  in the TSVs;
+  in the TSVs; line ends and a BOM in the configs change no ``config_hash``;
 - repeating every span prediction of one document adds that many false
   positives to ``eval-ner`` and nothing else;
 - a synonyms row that repeats a pair up to case and whitespace adds one to
@@ -24,7 +24,7 @@ import sys
 
 import pytest
 
-from icdkit.cli import main
+from icdkit.cli import RunConfig, main
 from test_golden import RUNS, _digest, demo_script
 
 KEYED_INPUTS = ("embeddings.jsonl", "queries.jsonl", "selection.jsonl", "dp_records.jsonl",
@@ -32,13 +32,18 @@ KEYED_INPUTS = ("embeddings.jsonl", "queries.jsonl", "selection.jsonl", "dp_reco
                 "code_predictions.jsonl", "gold_codes.jsonl")
 
 
+def report(root, name: str, command: str) -> dict:
+    """The report that the run ``name`` of ``command`` wrote under ``root``."""
+    path = root / "out" / name / (command.replace("-", "_") + ".json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def run_results(root) -> dict[str, dict]:
     """Each run's report ``results`` over the workspace at ``root``, by config name."""
     results = {}
     for name, command in RUNS:
         assert main([command, "--config", str(root / f"{name}.json")]) == 0, name
-        report = root / "out" / name / (command.replace("-", "_") + ".json")
-        results[name] = json.loads(report.read_text(encoding="utf-8"))["results"]
+        results[name] = report(root, name, command)["results"]
     return results
 
 
@@ -104,12 +109,16 @@ def test_line_framing_changes_no_report(demo, tmp_path, reframe):
     clean, expected, _ = demo
     work = tmp_path / "reframed"
     shutil.copytree(clean, work)
-    # BRAT .txt offsets count every byte, so the document text is left as it is
-    for path in [*work.glob("*.jsonl"), *work.glob("*.tsv"), *work.glob("corpus/*.ann")]:
+    hashes = {name: RunConfig.load(work / f"{name}.json").hash() for name, _ in RUNS}
+    # BRAT .txt offsets count every byte, so the document text is left as it is;
+    # U+00A0 is no JSON whitespace, so blank lines leave the configs as they are
+    configs = work.glob("*.json") if reframe in (_crlf, _cr, _bom) else ()
+    for path in [*work.glob("*.jsonl"), *work.glob("*.tsv"), *work.glob("corpus/*.ann"), *configs]:
         text = path.read_bytes().decode("utf-8")
         assert "\r" not in text and not text.startswith("\ufeff")
         path.write_bytes(reframe(path, text).encode("utf-8"))
     assert run_results(work) == expected
+    assert {name: report(work, name, command)["config_hash"] for name, command in RUNS} == hashes
 
 
 def test_repeated_span_predictions_are_false_positives(demo, tmp_path):

@@ -41,7 +41,7 @@ from icdkit.retrieval import (
     retrieve,
     retrieve_batch,
 )
-from conftest import brute_force, npy_header, write_embeddings_jsonl
+from conftest import brute_force, npy_header, torn, write_embeddings_jsonl
 from test_golden import GOLDEN, RUNS, demo_digests, make_demo, run_digests
 
 
@@ -783,6 +783,11 @@ def npy_bytes(array, allow_pickle=False):
     return handle.getvalue()
 
 
+def flipped(data, at):
+    """``data`` with the lowest bit of its byte ``at`` flipped."""
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
 def demo_matrix(root):
     """The demo's embeddings as one float64 matrix, row i for entry id i, read without icdkit."""
     rows = [json.loads(line) for line in (root / "embeddings.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -882,7 +887,13 @@ class TestEmbeddingsCache:
         lambda data, matrix: npy_bytes(with_nan(matrix)),
         lambda data, matrix: b"",
         lambda data, matrix: npy_header((10**12, matrix.shape[1])) + matrix.tobytes(),
-    ], ids=["truncated", "object-array", "pickle", "int", "1-d", "row-count", "nan", "empty", "huge-header"])
+        lambda data, matrix: torn(data),
+        lambda data, matrix: flipped(data, len(data) - 9),  # the last byte of the matrix
+        lambda data, matrix: flipped(data, len(data) - 1),  # the last byte of the checksum
+        lambda data, matrix: data.replace(b"'<f8'", b"'>f8'", 1),
+        lambda data, matrix: npy_bytes(matrix),
+    ], ids=["truncated", "object-array", "pickle", "int", "1-d", "row-count", "nan", "empty", "huge-header",
+            "torn-header", "data-bit", "checksum-bit", "byte-order", "no-checksum"])
     def test_corrupt_entry_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, parses, corrupt):
         make_demo(tmp_path, monkeypatch)
         expected = self.run(tmp_path, "retrieve")
