@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, AbstractSet, Callable, Mapping
 
 from icdkit import __version__
 from icdkit.coding import evaluate_coding, import_selection, read_code_predictions
@@ -34,7 +34,7 @@ from icdkit.diagnosis import (
     weighted_f1,
 )
 from icdkit.errors import ConfigError, InvalidFormatError
-from icdkit.jsonl import dump_jsonl, parse_json, read_text, read_unique, typed_field, write_file
+from icdkit.jsonl import dump_jsonl, parse_json, read_jsonl, read_text, read_unique, typed_field, write_file
 from icdkit.metrics import ConfusionCounts, micro_report, sum_counts
 from icdkit.ner import match_spans, read_span_predictions
 
@@ -184,6 +184,20 @@ def _rank_one(row: dict) -> dict:
     return _resolve({row["mention_id"]: _candidates(row)}, {"mention_id": row["mention_id"], "selected_rank": 1})
 
 
+def _read_scored(path: Path, reader: Callable[[Path], dict], scored: AbstractSet[str]) -> dict:
+    """``reader(path)``, predictions keyed by doc_id; a doc_id not ``scored`` is an error at its first row."""
+
+    def check(row: dict) -> None:
+        if row["doc_id"] not in scored:
+            raise InvalidFormatError(f"prediction references unknown doc_id {row['doc_id']!r}")
+
+    predictions = reader(path)
+    if not predictions.keys() <= scored:  # read again, to name the first such row
+        read_jsonl(path, check)
+        raise InvalidFormatError(f"{path}: changed while it was read")
+    return predictions
+
+
 def cmd_parse(config: RunConfig) -> tuple[dict, dict[str, str]]:
     docs = read_corpus_dir(config.path("corpus_dir"))
     parsed_rows = []
@@ -279,34 +293,20 @@ def cmd_retrieve(config: RunConfig) -> tuple[dict, dict[str, str]]:
 
 def cmd_eval_ner(config: RunConfig) -> tuple[dict, dict[str, str]]:
     docs = read_corpus_dir(config.path("corpus_dir"))
-    predictions_path = config.path("predictions")
-    predictions = read_span_predictions(predictions_path)
-    known = {doc.doc_id for doc in docs}
-    unknown = sorted(set(predictions) - known)
-    if unknown:
-        raise InvalidFormatError(f"{predictions_path}: predictions reference unknown doc_ids: {unknown[:5]}")
+    predictions = _read_scored(config.path("predictions"), read_span_predictions, {doc.doc_id for doc in docs})
     total = ConfusionCounts(0, 0, 0)
-    missing = 0
     for doc in docs:
-        pred_spans = predictions.get(doc.doc_id)
-        if pred_spans is None:
-            missing += 1
-            pred_spans = []
         # a span linked to several codes is still one gold mention
         gold_spans = list(dict.fromkeys((span.start, span.end) for span, _ in doc.entities))
-        total += match_spans([(span.start, span.end) for span in pred_spans], gold_spans)
+        total += match_spans([(span.start, span.end) for span in predictions.get(doc.doc_id, [])], gold_spans)
     results = asdict(micro_report(total))
-    results.update({"n_docs": len(docs), "n_docs_without_predictions": missing})
+    results.update({"n_docs": len(docs), "n_docs_without_predictions": len(docs) - len(predictions)})
     return results, {}
 
 
 def cmd_eval_coding(config: RunConfig) -> tuple[dict, dict[str, str]]:
     gold = read_code_predictions(config.path("gold"))
-    predictions_path = config.path("predictions")
-    predictions = read_code_predictions(predictions_path)
-    unknown = sorted(set(predictions) - set(gold))
-    if unknown:
-        raise InvalidFormatError(f"{predictions_path}: predictions reference unknown doc_ids: {unknown[:5]}")
+    predictions = _read_scored(config.path("predictions"), read_code_predictions, gold.keys())
     reports = evaluate_coding(predictions, gold)
     results = {
         "n_docs": len(gold),

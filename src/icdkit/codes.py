@@ -26,16 +26,20 @@ class IcdCode(str):
 
     It hashes, compares and sorts as that text, so ``H10 < H10.0 < H11``
     and ``IcdCode("H10") == "H10"``; its parts are the slices ``code[0]``,
-    ``code[1:3]`` and ``code[4:]``. Pickle and copy rebuild it through
-    ``__new__`` from that text, so a loaded code is validated again.
+    ``code[1:3]`` and ``code[4:]``. Pickle, under every protocol, and copy
+    rebuild it as ``IcdCode(text)``, so a loaded code is validated again.
     """
 
     __slots__ = ()
 
     def __new__(cls, text: str) -> "IcdCode":
-        if _CODE_RE.fullmatch(text) is None:
+        if not isinstance(text, str) or _CODE_RE.fullmatch(text) is None:
             raise InvalidFormatError(f"not an ICD-10 code: {text!r}")
         return super().__new__(cls, text)
+
+    def __reduce__(self) -> tuple[type, tuple[str]]:
+        # protocols 0 and 1 would otherwise rebuild a str subclass without calling __new__
+        return type(self), (str(self),)
 
 
 # canonical code text -> its IcdCode, filled by parse_code and never evicted;

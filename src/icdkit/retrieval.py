@@ -32,7 +32,7 @@ import tokenize
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -359,10 +359,11 @@ def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
     otherwise the file is hashed. An entry that :func:`matrix_index`
     accepts is a hit. Anything else is a miss: :func:`load_embeddings_jsonl`
     and :func:`build_index` run, and raise what they raise, naming the
-    file. Only an index they build is saved, whole or not at all, and it
-    replaces the file name's other entries and killed writers' temps. A
-    hashed hit or a save rewrites the record. A directory that cannot be
-    written is parsed every time.
+    file, and the line of the row refused unless an id is missing. Only an
+    index they build is saved, whole or not at all, and it replaces the
+    file name's other entries and killed writers' temps. A hashed hit or
+    a save rewrites the record. A directory that cannot be written is
+    parsed every time.
     """
     path = Path(path)
     if path.suffix == ".npy":
@@ -385,10 +386,27 @@ def load_index(path: str | Path, dictionary: IcdDictionary) -> EmbeddingIndex:
             _save_record(record, before, stamped, digest)
         return index
     vectors = load_embeddings_jsonl(path)
+    handed = 0  # the pairs build_index has taken, or 0 once it has taken them all
+
+    def counted() -> Iterator[tuple[int, np.ndarray]]:
+        nonlocal handed
+        for handed, pair in enumerate(vectors, start=1):
+            yield pair
+        handed = 0
+
+    def fault_at_handed(line: str) -> None:
+        nonlocal handed
+        handed -= 1
+        if not handed:
+            raise exc
+
     try:
-        index = build_index(dictionary, vectors)
+        index = build_index(dictionary, counted())
     except InvalidFormatError as exc:
-        # build_index sees pairs, not lines: the file is named here, the entry id in the message
+        # the pair build_index refused is the file's non-blank row `handed`: read again to raise
+        # there; a missing id, found after the last pair, names the file alone
+        if handed:
+            read_lines(path, fault_at_handed)
         raise InvalidFormatError(f"{path}: {exc}") from exc
     try:
         # a file rewritten while it was parsed may not match the key

@@ -221,18 +221,39 @@ class TestParseAndEvalCoding:
         out = tmp_path / "out"
         gold = tmp_path / "gold.jsonl"
         gold.write_text('{"doc_id": "d1", "codes": ["J00"]}\n', encoding="utf-8")
+        # the first row of an unscored doc_id is named, blank lines counted
         preds = tmp_path / "preds.jsonl"
-        preds.write_text('{"doc_id": "other", "codes": ["J00"]}\n', encoding="utf-8")
+        preds.write_text('{"doc_id": "d1", "codes": []}\n\n{"doc_id": "other", "codes": ["J00"]}\n'
+                         '{"doc_id": "zzz", "codes": []}\n', encoding="utf-8")
         cfg = write_config(tmp_path / "cfg.json",
                            {"gold": gold, "predictions": preds, "output_dir": out})
         assert run_cli("eval-coding", cfg) == 3
-        assert f"{preds.resolve()}: predictions reference unknown doc_ids" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {preds.resolve()}:3: "
+                                           "prediction references unknown doc_id 'other'\n")
+        doc_id = read_corpus_dir(corpus_dir)[0].doc_id
         spans = tmp_path / "spans.jsonl"
-        spans.write_text('{"doc_id": "other", "spans": []}\n', encoding="utf-8")
+        spans.write_text(json.dumps({"doc_id": doc_id, "spans": []}) + '\n{"doc_id": "other", "spans": []}\n',
+                         encoding="utf-8")
         cfg = write_config(tmp_path / "cfg.json",
                            {"corpus_dir": corpus_dir, "predictions": spans, "output_dir": out})
         assert run_cli("eval-ner", cfg) == 3
-        assert f"{spans.resolve()}: predictions reference unknown doc_ids" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {spans.resolve()}:2: "
+                                           "prediction references unknown doc_id 'other'\n")
+        assert not out.exists()
+
+    def test_predictions_changed_between_reads_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # the second read finds no unscored row, as if the file were rewritten in between
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"doc_id": "d1", "codes": ["J00"]}\n', encoding="utf-8")
+        read = coding.read_code_predictions
+        monkeypatch.setattr(cli, "read_code_predictions",
+                            lambda path: {**read(path), "other": []} if path.name == "preds.jsonl" else read(path))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"doc_id": "d1", "codes": ["J00"]}\n', encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"gold": gold, "predictions": preds, "output_dir": tmp_path / "out"})
+        assert run_cli("eval-coding", cfg) == 3
+        assert capsys.readouterr().err == f"error: {preds.resolve()}: changed while it was read\n"
 
 
 class TestRetrievalCommands:
@@ -331,9 +352,9 @@ class TestRetrievalCommands:
         }, options={"k": 3})
         # embeddings cover the merged dictionary; without synonyms ids are unknown
         assert run_cli("export-candidates", cfg) == 3
-        err = capsys.readouterr().err
-        assert f"error: {embedding_workspace['embeddings'].resolve()}: vector id " in err
-        assert "has no dictionary entry" in err
+        # without synonyms the dictionary has 12 entries: the first synonym's vector, on line 13, has none
+        assert capsys.readouterr().err == (f"error: {embedding_workspace['embeddings'].resolve()}:13: "
+                                           "vector id 12 has no dictionary entry\n")
 
     def test_out_of_range_selection_is_data_error(self, tmp_path, fixtures_dir,
                                                   embedding_workspace, capsys):
@@ -375,13 +396,13 @@ class TestRetrievalCommands:
         assert not (tmp_path / "out").exists()
 
     def test_empty_vectors_exit_3_naming_embeddings(self, tmp_path, capsys):
-        # build_index sees (id, vector) pairs, not lines, so the error names the file alone
+        # build_index sees (id, vector) pairs, and the file is read again to name the pair's line
         paths = {"dictionary": tmp_path / "dictionary.tsv", "embeddings": tmp_path / "embeddings.jsonl",
                  "output_dir": tmp_path / "out"}
         paths["dictionary"].write_text("J00\tcold\n", encoding="utf-8")
         paths["embeddings"].write_text('{"id": 0, "vector": []}\n', encoding="utf-8")
         assert run_cli("index", write_config(tmp_path / "cfg.json", paths)) == 3
-        assert capsys.readouterr().err == (f"error: {paths['embeddings'].resolve()}: "
+        assert capsys.readouterr().err == (f"error: {paths['embeddings'].resolve()}:1: "
                                            "vectors must have at least one component\n")
         assert not (tmp_path / "out").exists()
 

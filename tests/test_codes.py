@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 import string
 
 import pytest
@@ -115,9 +116,9 @@ class TestParseCode:
         for loaded in (pickle.loads(pickle.dumps(code, protocol=protocol)), copy.deepcopy(code)):
             assert type(loaded) is IcdCode and loaded == code
 
-    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_unpickling_validates_the_text(self, protocol):
-        # protocols 2+ rebuild through IcdCode.__new__, so a tampered pickle cannot load a bad code
+        # every protocol rebuilds through IcdCode(text), so a tampered pickle cannot load a bad code
         tampered = pickle.dumps(parse_code("H10.3"), protocol=protocol).replace(b"H10.3", b"H10.x")
         with pytest.raises(InvalidFormatError, match="^not an ICD-10 code: 'H10.x'$"):
             pickle.loads(tampered)
@@ -128,6 +129,11 @@ class TestParseCode:
         chapter, group, *subcode = parts
         with pytest.raises(InvalidFormatError, match="^not an ICD-10 code: "):
             IcdCode(".".join((chapter + group, *subcode)))
+
+    @pytest.mark.parametrize("value", [5, None, b"H10", ["H10"]])
+    def test_construction_from_a_non_str_raises(self, value):
+        with pytest.raises(InvalidFormatError, match=f"^not an ICD-10 code: {re.escape(repr(value))}$"):
+            IcdCode(value)
 
     def test_instances_have_no_dict(self):
         code = parse_code("H10.3")

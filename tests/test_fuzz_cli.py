@@ -45,14 +45,13 @@ ELSEWHERE = (
     # the dictionary files, and the configs that name them, set the entry ids
     # that the embeddings' vectors belong to
     (r"(?:dictionary|synonyms)\.tsv|(?:index|retrieve|export-candidates)\.json",
-     r"\S*/embeddings\.jsonl: (?:vector id \d+ has no dictionary entry|no vector for entry \d+ \(\S+\))"),
+     r"\S*/embeddings\.jsonl(?::\d+: vector id \d+ has no dictionary entry|: no vector for entry \d+ \(\S+\))"),
     # the gold file names the documents a prediction may refer to
-    (r"gold_codes\.jsonl", r"\S*/code_predictions\.jsonl: predictions reference unknown doc_ids: .*"),
+    (r"gold_codes\.jsonl", r"\S*/code_predictions\.jsonl:\d+: prediction references unknown doc_id .*"),
     # a selection refers to the mention ids that export-candidates took from the queries
     (r"queries\.jsonl", r"\S*/selection\.jsonl:\d+: selection references unknown mention_id .*"),
-    # checks over the ids of all rows name the file but no line
-    (r"(embeddings)\.jsonl", r"\S*/{0}\.jsonl: (?:duplicate vector for entry \d+|no vector for entry \d+ \(\S+\))"),
-    (r"(code_predictions|span_predictions)\.jsonl", r"\S*/{0}\.jsonl: predictions reference unknown doc_ids: .*"),
+    # an entry id that no row holds has no line to name
+    (r"(embeddings)\.jsonl", r"\S*/{0}\.jsonl: no vector for entry \d+ \(\S+\)"),
 )
 
 

@@ -246,6 +246,8 @@ class TestRetrieve:
         index = build_index(tiny_dictionary(2), {0: [0.0], 1: [1.0]}.items())
         with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
             retrieve(index, [0.5], k=0)
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            retrieve_batch(index, [[0.5]], 0, [""])
 
     def test_distances_non_decreasing(self):
         index = build_index(tiny_dictionary(5),
@@ -912,12 +914,30 @@ class TestEmbeddingsCache:
         self.run(tmp_path, "index")
         cached = self.entries(tmp_path)
         path = tmp_path / "embeddings.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        good = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines = [*good]
         lines[2] = '{"id": 2, "vector": "x"}\n'
         path.write_text("".join(lines), encoding="utf-8")
         assert main(["index", "--config", str(tmp_path / "index.json")]) == 3
         assert capsys.readouterr().err == f"error: {path.resolve()}:3: vector must be a flat list of numbers\n"
         assert self.entries(tmp_path) == cached  # an error is not cached
+        # an id fault is found after a clean parse, split or not, and the file
+        # is read again to name the line of the row refused; below a blank
+        # first line, the 0-based row `row` is on line row + 2
+        last = json.loads(good[-1])["id"]
+        faults = [(2, good[1], "4: duplicate vector for entry 1\n"),  # this process's share of the split
+                  (3, good[2], "5: duplicate vector for entry 2\n"),  # the worker's share
+                  (4, '{"id": 99999, "vector": [1.0]}\n', "6: vector id 99999 has no dictionary entry\n"),
+                  (len(good) - 1, "", f" no vector for entry {last} (")]  # a missing id has no row
+        for row, text, message in faults:
+            lines = ["\n", *good]
+            lines[1 + row] = text
+            path.write_text("".join(lines), encoding="utf-8")
+            with split_floor(0) as (forks, reads):
+                assert main(["index", "--config", str(tmp_path / "index.json")]) == 3
+            assert len(forks) == retrieval.CAN_SPLIT and not reads  # parsed once
+            assert capsys.readouterr().err.startswith(f"error: {path.resolve()}:{message}")
+            assert self.entries(tmp_path) == cached
 
     def test_one_entry_per_source_and_no_temporary_left(self, tmp_path, monkeypatch, parses):
         make_demo(tmp_path, monkeypatch)
